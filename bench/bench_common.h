@@ -2,8 +2,8 @@
 #define EXODUS_BENCH_BENCH_COMMON_H_
 
 // Shared helpers for the benchmark suite. Each bench binary regenerates
-// one experiment of DESIGN.md §4 (B1..B10); EXPERIMENTS.md records the
-// qualitative shape each one checks.
+// one experiment of DESIGN.md §4 (B1..B20; B9 is retired);
+// EXPERIMENTS.md records the qualitative shape each one checks.
 
 #include <benchmark/benchmark.h>
 

@@ -1,7 +1,7 @@
 // A business-database scenario: a company schema with enumerations,
 // functions and procedures for derived data and encapsulated updates,
 // authorization with user groups, secondary indexes, and persistence
-// through the storage manager.
+// through a checkpoint image.
 //
 // Build & run:  ./build/examples/company
 

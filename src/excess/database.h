@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -175,10 +176,16 @@ class Database {
     return stmt.kind == excess::StmtKind::kRetrieve && stmt.into.empty();
   }
 
-  /// Saves schema + data through the storage manager to `path`.
+  /// Saves schema + data to `path` as a checkpoint image
+  /// (wal/wal_format.h): written to `path.tmp`, fsynced and renamed over
+  /// `path`, so a failed save leaves any previous image intact.
   util::Status Save(const std::string& path);
-  /// Restores a database saved with Save().
+  /// Restores a database saved with Save() or Checkpoint().
   static util::Result<std::unique_ptr<Database>> Load(const std::string& path);
+  /// Restores a database from an image held in memory (the bytes
+  /// ReplicaSnapshot() returns).
+  static util::Result<std::unique_ptr<Database>> LoadImage(
+      const std::string& image);
 
   /// Enables logical (statement-level) journaling through the
   /// write-ahead log at `path` (plus rotated segments `path.NNNNNN`):
@@ -298,14 +305,20 @@ class Database {
     last_plan_ = std::move(plan);
   }
 
-  /// Save() body; the caller holds exec_mu_ (shared plus a pinned
-  /// snapshot, or exclusive). `epoch` selects the object versions to
-  /// serialize (kMaxEpoch = newest committed, for exclusive contexts).
-  /// `wal_lsn` is recorded in the image as the WAL cut this snapshot
-  /// subsumes; recovery replays only records above it.
-  util::Status SaveLocked(const std::string& path,
-                          uint64_t epoch = object::kMaxEpoch,
-                          uint64_t wal_lsn = 0);
+  /// Writes the image to `path` through `path.tmp`: fdatasync, rename,
+  /// then fsync of the directory. The caller holds exec_mu_ (shared
+  /// plus a pinned snapshot, or exclusive). `epoch` selects the object
+  /// versions to serialize (kMaxEpoch = newest committed, for exclusive
+  /// contexts). `wal_lsn` is recorded in the image as the WAL cut this
+  /// snapshot subsumes; recovery replays only records above it.
+  util::Status SaveLocked(const std::string& path, uint64_t epoch,
+                          uint64_t wal_lsn);
+  /// Encodes the image (as SaveLocked) onto `out`; `name` is for errors.
+  util::Status WriteImage(std::FILE* out, const std::string& name,
+                          uint64_t epoch, uint64_t wal_lsn);
+  /// Load() body: decodes an image from `in`, then closes it.
+  static util::Result<std::unique_ptr<Database>> ReadImage(
+      std::FILE* in, const std::string& name);
 
   /// FormatValue at a specific snapshot epoch (the session formatting
   /// paths pass their pinned epoch; kMaxEpoch reads newest committed).
@@ -330,13 +343,15 @@ class Database {
 
   void AutoCheckpointLoop();
 
-  /// Checkpoint() body: writes a consistent image to `path` (via
-  /// `path.tmp` + rename). With `truncate` the WAL sheds segments the
-  /// image subsumes and wal_base_lsn_ advances to the cut; without it
-  /// the WAL is left whole (replica snapshots). `cut_out`, when
-  /// non-null, receives the cut LSN.
-  util::Status CheckpointInternal(const std::string& path, uint64_t* cut_out,
-                                  bool truncate);
+  /// Checkpoint() body: takes the cut and pinned epoch and calls
+  /// `write(epoch, cut)` to emit a consistent image (SaveLocked for a
+  /// checkpoint file, an in-memory encoding for a replica snapshot).
+  /// With `truncate` the WAL then sheds segments the image subsumes and
+  /// wal_base_lsn_ advances to the cut; without it the WAL is left
+  /// whole. `cut_out`, when non-null, receives the cut LSN.
+  util::Status CheckpointInternal(
+      const std::function<util::Status(uint64_t epoch, uint64_t cut)>& write,
+      uint64_t* cut_out, bool truncate);
 
   // DDL handlers. Handlers that depend on who is asking (or on session
   // ranges) take the session.
@@ -405,10 +420,6 @@ class Database {
   /// exec_pool()). Declared before default_session_ so it outlives the
   /// sessions whose statements submit to it.
   util::ThreadPool exec_pool_{ExecPoolWidth()};
-  /// Save/Load buffer pools are transient; their hit/miss counts are
-  /// folded into these cumulative series when each operation finishes.
-  obs::Counter* buffer_pool_hits_ = nullptr;
-  obs::Counter* buffer_pool_misses_ = nullptr;
   /// Backs the string-only convenience API (user dba).
   std::unique_ptr<Session> default_session_;
   std::vector<std::string> ddl_log_;

@@ -77,7 +77,7 @@ class Histogram {
 /// and returns a stable pointer; entries are never removed, so callers
 /// cache the pointer once and record lock-free forever after.
 /// RegisterCallback adds a metric whose value is computed at render
-/// time from counters maintained elsewhere (plan cache, buffer pool).
+/// time from counters maintained elsewhere (plan cache, MVCC controller).
 ///
 /// Metric names follow Prometheus conventions and may carry a label
 /// set: `exodus_operator_rows_total{op="hash_join"}`. RenderPrometheus

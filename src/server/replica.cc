@@ -26,21 +26,7 @@ Result<std::unique_ptr<Replicator>> Replicator::Bootstrap(
   if (first.is_snapshot) {
     // The primary's WAL no longer reaches back to LSN 0: materialize
     // from the shipped checkpoint image, then tail from its cut.
-    std::FILE* f = std::fopen(options.spool_path.c_str(), "wb");
-    if (f == nullptr) {
-      return Status::IoError("cannot spool bootstrap snapshot to '" +
-                             options.spool_path + "'");
-    }
-    const std::string& image = first.snapshot.image;
-    size_t written = std::fwrite(image.data(), 1, image.size(), f);
-    bool write_error = written != image.size() || std::fclose(f) != 0;
-    if (write_error) {
-      std::remove(options.spool_path.c_str());
-      return Status::IoError("cannot spool bootstrap snapshot to '" +
-                             options.spool_path + "'");
-    }
-    auto loaded = Database::Load(options.spool_path);
-    std::remove(options.spool_path.c_str());
+    auto loaded = Database::LoadImage(first.snapshot.image);
     if (!loaded.ok()) return loaded.status();
     db = std::move(*loaded);
     applied = first.snapshot.snapshot_lsn;

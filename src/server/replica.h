@@ -28,9 +28,6 @@ struct ReplicatorOptions {
   /// How often to poll WAL_TAIL when caught up. A round that returns a
   /// full batch polls again immediately.
   int poll_interval_ms = 100;
-  /// Where to spool a bootstrap checkpoint image before loading it
-  /// (unlinked afterwards).
-  std::string spool_path = "exodus_replica_bootstrap.ckpt";
   /// User for the replication connection's HELLO.
   std::string user = "dba";
 };

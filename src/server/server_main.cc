@@ -124,8 +124,6 @@ int main(int argc, char** argv) {
       std::cerr << st.ToString() << "\n";
       return 2;
     }
-    ropts.spool_path = "excess_replica_bootstrap." +
-                       std::to_string(::getpid()) + ".ckpt";
     auto rep = exodus::server::Replicator::Bootstrap(ropts);
     if (!rep.ok()) {
       std::cerr << "cannot bootstrap replica of " << replica_of << ": "

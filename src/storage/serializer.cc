@@ -1,5 +1,6 @@
 #include "storage/serializer.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace exodus::storage {
@@ -24,6 +25,12 @@ enum class Tag : uint8_t {
   kArray = 9,
   kRef = 10,
 };
+
+/// Every encoded value takes at least one byte, so a count larger than
+/// the bytes left is corrupt; reserving it could exhaust memory.
+size_t ReserveBound(uint64_t count, const std::string& bytes, size_t pos) {
+  return static_cast<size_t>(std::min<uint64_t>(count, bytes.size() - pos));
+}
 
 }  // namespace
 
@@ -51,7 +58,7 @@ Result<uint64_t> Serializer::GetU64(const std::string& bytes, size_t* pos) {
 Result<std::string> Serializer::GetString(const std::string& bytes,
                                           size_t* pos) {
   EXODUS_ASSIGN_OR_RETURN(uint64_t len, GetU64(bytes, pos));
-  if (*pos + len > bytes.size()) {
+  if (len > bytes.size() - *pos) {
     return Status::IoError("truncated record (string)");
   }
   std::string out = bytes.substr(*pos, len);
@@ -194,7 +201,7 @@ Result<Value> Serializer::DecodeFrom(const std::string& bytes,
       }
       EXODUS_ASSIGN_OR_RETURN(uint64_t count, GetU64(bytes, pos));
       std::vector<Value> fields;
-      fields.reserve(count);
+      fields.reserve(ReserveBound(count, bytes, *pos));
       for (uint64_t i = 0; i < count; ++i) {
         EXODUS_ASSIGN_OR_RETURN(Value f, DecodeFrom(bytes, pos));
         fields.push_back(std::move(f));
@@ -204,7 +211,7 @@ Result<Value> Serializer::DecodeFrom(const std::string& bytes,
     case Tag::kSet: {
       EXODUS_ASSIGN_OR_RETURN(uint64_t count, GetU64(bytes, pos));
       auto data = std::make_shared<object::SetData>();
-      data->elems.reserve(count);
+      data->elems.reserve(ReserveBound(count, bytes, *pos));
       for (uint64_t i = 0; i < count; ++i) {
         EXODUS_ASSIGN_OR_RETURN(Value e, DecodeFrom(bytes, pos));
         data->elems.push_back(std::move(e));
@@ -214,7 +221,7 @@ Result<Value> Serializer::DecodeFrom(const std::string& bytes,
     case Tag::kArray: {
       EXODUS_ASSIGN_OR_RETURN(uint64_t count, GetU64(bytes, pos));
       auto data = std::make_shared<object::ArrayData>();
-      data->elems.reserve(count);
+      data->elems.reserve(ReserveBound(count, bytes, *pos));
       for (uint64_t i = 0; i < count; ++i) {
         EXODUS_ASSIGN_OR_RETURN(Value e, DecodeFrom(bytes, pos));
         data->elems.push_back(std::move(e));

@@ -12,9 +12,10 @@
 namespace exodus::storage {
 
 /// Encodes and decodes EXTRA runtime values to/from flat byte strings
-/// for the object store. Schema and enum types are referenced by name
-/// (resolved against the catalog on decode); ADT payloads round-trip
-/// through the per-ADT serialization hooks in the registry.
+/// for checkpoint image records (wal/wal_format.h). Schema and enum types
+/// are referenced by name (resolved against the catalog on decode); ADT
+/// payloads round-trip through the per-ADT serialization hooks in the
+/// registry.
 class Serializer {
  public:
   Serializer(const extra::Catalog* catalog, const adt::Registry* adts)

@@ -23,7 +23,7 @@ enum class StatusCode {
   kConstraintViolation,// ownership / referential-integrity violation
   kPermissionDenied,   // authorization failure
   kOutOfRange,         // array index, arity, numeric range
-  kIoError,            // storage manager failure
+  kIoError,            // file or image I/O failure, corrupt bytes
   kNotImplemented,
   kInternal,           // invariant breakage; indicates a bug
 };

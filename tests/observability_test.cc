@@ -548,28 +548,6 @@ TEST_F(ObservabilityTest, SlowQueryLogOffByDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Buffer-pool counters fold through Save/Load
-// ---------------------------------------------------------------------------
-
-TEST_F(ObservabilityTest, BufferPoolCountersSurviveSaveLoad) {
-  std::string path = ::testing::TempDir() + "/exodus_obs_test.db";
-  ASSERT_TRUE(db_.Save(path).ok());
-  std::string text = db_.metrics()->RenderPrometheus();
-  uint64_t hits = MetricValue(text, "exodus_buffer_pool_hits_total");
-  uint64_t misses = MetricValue(text, "exodus_buffer_pool_misses_total");
-  ASSERT_NE(hits, UINT64_MAX);
-  ASSERT_NE(misses, UINT64_MAX);
-  EXPECT_GT(hits + misses, 0u);
-
-  auto loaded = Database::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::string ltext = (*loaded)->metrics()->RenderPrometheus();
-  uint64_t lh = MetricValue(ltext, "exodus_buffer_pool_hits_total");
-  uint64_t lm = MetricValue(ltext, "exodus_buffer_pool_misses_total");
-  EXPECT_GT(lh + lm, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // kMetrics over the wire
 // ---------------------------------------------------------------------------
 

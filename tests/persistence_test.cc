@@ -1,4 +1,4 @@
-// Database save / load through the storage manager: schema replay, heap
+// Database save / load through checkpoint images: schema replay, heap
 // restore with identical oids, named-object values, index rebuild,
 // functions/procedures, and authorization state.
 

@@ -98,6 +98,24 @@ TEST_F(SerializerTest, CorruptInputRejected) {
   EXPECT_FALSE(serializer_->Decode(*bytes + "junk").ok());          // trailing
 }
 
+// Lengths and counts come from the bytes being decoded: one larger
+// than what is left must fail cleanly, not wrap the position or
+// reserve memory for elements that are not there.
+TEST_F(SerializerTest, OversizedLengthsAndCountsRejected) {
+  std::string huge_string;
+  Serializer::PutU64(~uint64_t{0}, &huge_string);
+  huge_string += "abc";
+  size_t pos = 0;
+  EXPECT_FALSE(Serializer::GetString(huge_string, &pos).ok());
+
+  for (char tag : {char{7}, char{8}, char{9}}) {  // tuple, set, array
+    std::string bytes(1, tag);
+    if (tag == 7) Serializer::PutString("", &bytes);  // untyped tuple
+    Serializer::PutU64(uint64_t{1} << 60, &bytes);
+    EXPECT_FALSE(serializer_->Decode(bytes).ok()) << int{tag};
+  }
+}
+
 TEST_F(SerializerTest, UnknownTypeNameOnDecodeFails) {
   const extra::Type* point = *db_.catalog()->FindType("Point");
   Value v = Value::MakeTuple(point, {Value::Float(1.0), Value::Float(2.0)});

@@ -395,7 +395,6 @@ class ReplicaTest : public ::testing::Test {
   void SetUp() override {
     journal_ = ::testing::TempDir() + "/exodus_replica_test.log";
     checkpoint_ = ::testing::TempDir() + "/exodus_replica_test.ckpt";
-    spool_ = ::testing::TempDir() + "/exodus_replica_test.bootstrap";
     RemoveState();
   }
   void TearDown() override { RemoveState(); }
@@ -408,13 +407,11 @@ class ReplicaTest : public ::testing::Test {
     std::remove(journal_.c_str());
     std::remove(checkpoint_.c_str());
     std::remove((checkpoint_ + ".tmp").c_str());
-    std::remove(spool_.c_str());
   }
 
   std::unique_ptr<Replicator> MustBootstrap(uint16_t primary_port) {
     ReplicatorOptions ropts;
     ropts.primary_port = primary_port;
-    ropts.spool_path = spool_;
     auto rep = Replicator::Bootstrap(ropts);
     EXPECT_TRUE(rep.ok()) << rep.status().ToString();
     return rep.ok() ? std::move(*rep) : nullptr;
@@ -422,7 +419,6 @@ class ReplicaTest : public ::testing::Test {
 
   std::string journal_;
   std::string checkpoint_;
-  std::string spool_;
 };
 
 TEST_F(ReplicaTest, BootstrapFromWalCatchUpAndReadOnly) {

@@ -340,5 +340,70 @@ TEST_F(WalTest, OpenHonorsMinNextLsn) {
   EXPECT_EQ(*lsn, 101u);
 }
 
+// The CRC-32 check value (IEEE 802.3 / zlib crc32 of "123456789").
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// Bit-at-a-time reference: the definition the table-driven Crc32 must
+// reproduce for every length and alignment.
+uint32_t ReferenceCrc32(const std::string& s) {
+  uint32_t c = 0xffffffffu;
+  for (unsigned char b : s) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  std::string data;
+  uint32_t x = 12345;
+  for (int i = 0; i < 80; ++i) {
+    x = x * 1103515245u + 12345u;
+    data.push_back(static_cast<char>(x >> 24));
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; start + len <= data.size(); ++len) {
+      const std::string piece = data.substr(start, len);
+      ASSERT_EQ(Crc32(data.data() + start, len), ReferenceCrc32(piece))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedContinuesThePrefix) {
+  const std::string whole = "The quick brown fox jumps over the lazy dog";
+  const uint32_t expected = Crc32(whole.data(), whole.size());
+  EXPECT_EQ(expected, 0x414FA339u);
+  for (size_t cut = 0; cut <= whole.size(); ++cut) {
+    const uint32_t prefix = Crc32(whole.data(), cut);
+    EXPECT_EQ(Crc32(whole.data() + cut, whole.size() - cut, prefix), expected)
+        << "split at " << cut;
+  }
+}
+
+// A record's bytes are fixed by the format: segments written by earlier
+// builds must keep decoding.
+TEST(WalFormatTest, RecordEncodingIsStable) {
+  std::string out;
+  EncodeRecord(7, RecordType::kStatement, "append to S (x = 1)", &out);
+  std::string hex;
+  char buf[3];
+  for (unsigned char c : out) {
+    std::snprintf(buf, sizeof buf, "%02x", c);
+    hex += buf;
+  }
+  EXPECT_EQ(hex,
+            "1300000032536347070000000000000001"
+            "617070656e6420746f2053202878203d203129");
+  size_t pos = 0;
+  WalRecord rec;
+  ASSERT_TRUE(DecodeRecord(out, &pos, &rec));
+  EXPECT_EQ(rec.lsn, 7u);
+  EXPECT_EQ(rec.payload, "append to S (x = 1)");
+}
+
 }  // namespace
 }  // namespace exodus::wal

@@ -112,7 +112,6 @@ fi
 check_present 'exodus_server_connections_total'
 check_present 'exodus_server_latency_us_count'
 check_present 'exodus_plan_cache_misses_total'
-check_present 'exodus_buffer_pool_hits_total'
 check_present 'exodus_operator_rows_total{op="hash_join"}'
 check_present 'exodus_statement_latency_us_bucket'
 # Wait-event profile: every class is registered up front, and the
