@@ -1,13 +1,9 @@
-// B16 — Vectorized batch execution: the B14 join sweep and an
-// aggregate sweep re-run under the batch-at-a-time executor at batch
-// sizes 1 / 64 / 1024 (default) / 4096, against the row-at-a-time
-// interpreter (ExecOptions::vectorized = false) on identical data.
-// Expected shape: batch size 1 tracks the row path (same work, batch
-// bookkeeping on top); throughput rises steeply to ~64 rows per batch
-// as per-batch costs amortize and flattens by 1024 once scratch
-// columns stop fitting deeper cache levels — the speedup at the
-// default batch size against the row path is the headline number
-// tracked in EXPERIMENTS.md.
+// B16 — Batch execution: the B14 join sweep and an aggregate sweep run
+// under the batch-at-a-time executor at batch sizes 1 / 64 / 1024
+// (default) / 4096 on identical data. Expected shape: batch size 1 pays
+// the per-batch bookkeeping on every row; throughput rises steeply to
+// ~64 rows per batch as per-batch costs amortize and flattens by 1024
+// once scratch columns stop fitting deeper cache levels.
 
 #include <benchmark/benchmark.h>
 
@@ -60,30 +56,23 @@ const char* kAggregate =
     "retrieve unique (E.dept_id, s = sum(E.salary over E.dept_id), "
     "u = count(unique E.salary over E.dept_id)) from E in Employees";
 
-// Runs `query` with the executor configured for batch execution at
-// state.range(1) rows per batch (0 = row-at-a-time path).
+// Runs `query` at state.range(1) rows per batch.
 void RunBatched(benchmark::State& state, const char* query) {
   Database* db = Db(static_cast<int>(state.range(0)));
-  const int batch_size = static_cast<int>(state.range(1));
-  excess::ExecOptions saved = *db->mutable_exec_options();
-  if (batch_size == 0) {
-    db->mutable_exec_options()->vectorized = false;
-  } else {
-    db->mutable_exec_options()->vectorized = true;
-    db->mutable_exec_options()->batch_size = batch_size;
-  }
+  excess::SessionOptions saved = *db->mutable_options();
+  db->mutable_options()->batch_size = static_cast<int>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::MustQuery(db, query));
   }
-  *db->mutable_exec_options() = saved;
+  *db->mutable_options() = saved;
   state.SetComplexityN(state.range(0));
 }
 
 // Join sweep (B14 shape): rows = {200, 800, 3200} x batch size
-// {0 = row path, 1, 64, 1024, 4096}.
+// {1, 64, 1024, 4096}.
 void BM_BatchJoin(benchmark::State& state) { RunBatched(state, kJoin); }
 BENCHMARK(BM_BatchJoin)
-    ->ArgsProduct({{200, 800, 3200}, {0, 1, 64, 1024, 4096}})
+    ->ArgsProduct({{200, 800, 3200}, {1, 64, 1024, 4096}})
     ->Complexity();
 
 // Aggregate sweep over the same data and batch sizes.
@@ -91,7 +80,7 @@ void BM_BatchAggregate(benchmark::State& state) {
   RunBatched(state, kAggregate);
 }
 BENCHMARK(BM_BatchAggregate)
-    ->ArgsProduct({{200, 800, 3200}, {0, 1, 64, 1024, 4096}})
+    ->ArgsProduct({{200, 800, 3200}, {1, 64, 1024, 4096}})
     ->Complexity();
 
 }  // namespace

@@ -59,9 +59,9 @@ const char* kPointProbe =
 void RunJoin(benchmark::State& state, const char* query, bool hash_join,
              bool indexed) {
   Database* db = Db(static_cast<int>(state.range(0)));
-  excess::OptimizerOptions saved = *db->mutable_optimizer_options();
-  db->mutable_optimizer_options()->hash_join = hash_join;
-  db->mutable_optimizer_options()->use_indexes = indexed;
+  excess::SessionOptions saved = *db->mutable_options();
+  db->mutable_options()->hash_join = hash_join;
+  db->mutable_options()->use_indexes = indexed;
   if (indexed) {
     bench::MustExecute(db, "create index DeptIdIdx on Departments (id) "
                            "using hash");
@@ -72,7 +72,7 @@ void RunJoin(benchmark::State& state, const char* query, bool hash_join,
   if (indexed) {
     bench::MustExecute(db, "drop index DeptIdIdx");
   }
-  *db->mutable_optimizer_options() = saved;
+  *db->mutable_options() = saved;
   state.SetComplexityN(state.range(0));
 }
 
@@ -97,7 +97,7 @@ void BM_PointProbe_Hash(benchmark::State& state) {
 }
 void BM_PointProbe_Index(benchmark::State& state) {
   Database* db = Db(static_cast<int>(state.range(0)));
-  excess::OptimizerOptions saved = *db->mutable_optimizer_options();
+  excess::SessionOptions saved = *db->mutable_options();
   bench::MustExecute(db, "create index SalIdx on Employees (salary) "
                          "using btree");
   bench::MustExecute(db, "create index DeptIdIdx on Departments (id) "
@@ -107,7 +107,7 @@ void BM_PointProbe_Index(benchmark::State& state) {
   }
   bench::MustExecute(db, "drop index SalIdx");
   bench::MustExecute(db, "drop index DeptIdIdx");
-  *db->mutable_optimizer_options() = saved;
+  *db->mutable_options() = saved;
 }
 BENCHMARK(BM_PointProbe_Hash)->Arg(3200);
 BENCHMARK(BM_PointProbe_Index)->Arg(3200);

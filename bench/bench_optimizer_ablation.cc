@@ -62,15 +62,15 @@ const char* kSelectiveQuery =
 void RunConfig(benchmark::State& state, bool pushdown, bool reorder,
                bool indexes, const char* query, bool hash_join = true) {
   Database* db = Db();
-  excess::OptimizerOptions saved = *db->mutable_optimizer_options();
-  db->mutable_optimizer_options()->predicate_pushdown = pushdown;
-  db->mutable_optimizer_options()->join_reordering = reorder;
-  db->mutable_optimizer_options()->use_indexes = indexes;
-  db->mutable_optimizer_options()->hash_join = hash_join;
+  excess::SessionOptions saved = *db->mutable_options();
+  db->mutable_options()->predicate_pushdown = pushdown;
+  db->mutable_options()->join_reordering = reorder;
+  db->mutable_options()->use_indexes = indexes;
+  db->mutable_options()->hash_join = hash_join;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::MustQuery(db, query));
   }
-  *db->mutable_optimizer_options() = saved;
+  *db->mutable_options() = saved;
 }
 
 void BM_Join_AllRulesOn(benchmark::State& state) {

@@ -76,11 +76,10 @@ void AssertParallelInvariants(Database* db, int employees) {
   obs::Counter* morsels = db->metrics()->GetCounter("exodus_exec_morsels_total");
   obs::Counter* queries =
       db->metrics()->GetCounter("exodus_exec_parallel_queries_total");
-  excess::ExecOptions saved = *db->mutable_exec_options();
+  excess::SessionOptions saved = *db->mutable_options();
 
-  db->mutable_exec_options()->vectorized = true;
-  db->mutable_exec_options()->batch_size = 256;
-  db->mutable_exec_options()->exec_threads = 1;
+  db->mutable_options()->batch_size = 256;
+  db->mutable_options()->exec_threads = 1;
   uint64_t m0 = morsels->value();
   uint64_t q0 = queries->value();
   const size_t serial_rows = bench::MustQuery(db, kJoin);
@@ -90,7 +89,7 @@ void AssertParallelInvariants(Database* db, int employees) {
     std::abort();
   }
 
-  db->mutable_exec_options()->exec_threads = 4;
+  db->mutable_options()->exec_threads = 4;
   m0 = morsels->value();
   q0 = queries->value();
   const size_t parallel_rows = bench::MustQuery(db, kJoin);
@@ -112,7 +111,7 @@ void AssertParallelInvariants(Database* db, int employees) {
               << " != serial rows " << serial_rows << "\n";
     std::abort();
   }
-  *db->mutable_exec_options() = saved;
+  *db->mutable_options() = saved;
 }
 
 // Runs `query` at state.range(1) worker threads over state.range(0)
@@ -121,14 +120,13 @@ void RunParallel(benchmark::State& state, const char* query) {
   const int employees = static_cast<int>(state.range(0));
   Database* db = Db(employees);
   AssertParallelInvariants(db, employees);
-  excess::ExecOptions saved = *db->mutable_exec_options();
-  db->mutable_exec_options()->vectorized = true;
-  db->mutable_exec_options()->batch_size = static_cast<int>(state.range(2));
-  db->mutable_exec_options()->exec_threads = static_cast<int>(state.range(1));
+  excess::SessionOptions saved = *db->mutable_options();
+  db->mutable_options()->batch_size = static_cast<int>(state.range(2));
+  db->mutable_options()->exec_threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::MustQuery(db, query));
   }
-  *db->mutable_exec_options() = saved;
+  *db->mutable_options() = saved;
   state.SetComplexityN(state.range(0));
 }
 

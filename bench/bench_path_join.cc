@@ -90,8 +90,8 @@ void BM_ExplicitValueJoin(benchmark::State& state) {
 void BM_ExplicitValueJoinNestedLoop(benchmark::State& state) {
   Database* db = DbFor(static_cast<int>(state.range(0)),
                        static_cast<int>(state.range(1)));
-  excess::OptimizerOptions saved = *db->mutable_optimizer_options();
-  db->mutable_optimizer_options()->hash_join = false;
+  excess::SessionOptions saved = *db->mutable_options();
+  db->mutable_options()->hash_join = false;
   size_t rows = 0;
   for (auto _ : state) {
     rows = bench::MustQuery(
@@ -100,7 +100,7 @@ void BM_ExplicitValueJoinNestedLoop(benchmark::State& state) {
         "where E.dept_id = D.id and D.floor = 3");
     benchmark::DoNotOptimize(rows);
   }
-  *db->mutable_optimizer_options() = saved;
+  *db->mutable_options() = saved;
   state.counters["rows"] = static_cast<double>(rows);
 }
 

@@ -195,12 +195,8 @@ const std::string& Database::current_user() const {
   return default_session_->user();
 }
 
-excess::OptimizerOptions* Database::mutable_optimizer_options() {
-  return default_session_->mutable_optimizer_options();
-}
-
-excess::ExecOptions* Database::mutable_exec_options() {
-  return default_session_->mutable_exec_options();
+excess::SessionOptions* Database::mutable_options() {
+  return default_session_->mutable_options();
 }
 
 /// True for statements whose effects must be journaled for recovery.

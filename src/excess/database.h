@@ -280,14 +280,10 @@ class Database {
   /// The default session's user (`set user` on the string API).
   const std::string& current_user() const;
 
-  /// Optimizer rule switches of the default session (predicate
-  /// pushdown, join reordering, index usage) — ablation hooks for
-  /// benchmarks and tests.
-  excess::OptimizerOptions* mutable_optimizer_options();
-
-  /// Executor knobs of the default session: batch (vectorized)
-  /// execution on/off and rows per batch.
-  excess::ExecOptions* mutable_exec_options();
+  /// Execution options of the default session: optimizer rule
+  /// switches (ablation hooks for benchmarks and tests), batch size,
+  /// worker threads and isolation mode.
+  excess::SessionOptions* mutable_options();
 
   /// Registers an access-method applicability row for an ADT (the
   /// "tabular optimizer information" channel of paper §4.1.2).

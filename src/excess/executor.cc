@@ -20,40 +20,26 @@ using util::Status;
 
 namespace {
 
-/// Hash/equality over value vectors (partition keys for hash
-/// aggregation). Consistent with ValueEquals, so int/float keys that
-/// compare equal land in the same group.
-struct ValueVecHash {
-  size_t operator()(const std::vector<Value>& row) const {
+/// Hash/equality over output rows for `unique` (pointer-keyed into the
+/// deduped vector to avoid copying rows). Consistent with ValueEquals,
+/// so int/float values that compare equal count as duplicates.
+struct RowHash {
+  size_t operator()(const std::vector<Value>* row) const {
     size_t h = 0x811c9dc5ULL;
-    for (const Value& v : row) {
+    for (const Value& v : *row) {
       h = h * 1099511628211ULL + object::ValueHash(v);
     }
     return h;
   }
 };
-struct ValueVecEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!object::ValueEquals(a[i], b[i])) return false;
-    }
-    return true;
-  }
-};
-
-/// Hash/equality over output rows for `unique` (pointer-keyed into the
-/// deduped vector to avoid copying rows).
-struct RowHash {
-  size_t operator()(const std::vector<Value>* row) const {
-    return ValueVecHash()(*row);
-  }
-};
 struct RowEq {
   bool operator()(const std::vector<Value>* a,
                   const std::vector<Value>* b) const {
-    return ValueVecEq()(*a, *b);
+    if (a->size() != b->size()) return false;
+    for (size_t i = 0; i < a->size(); ++i) {
+      if (!object::ValueEquals((*a)[i], (*b)[i])) return false;
+    }
+    return true;
   }
 };
 
@@ -307,26 +293,6 @@ Result<BoundQuery> Executor::BindAndPlan(const Stmt& stmt, const Env& env,
   return query;
 }
 
-Status Executor::RunPlan(const Plan& plan, const BoundQuery& query, Env* env,
-                         const std::function<Status(Env*)>& row_fn) {
-  run_stats_.Reset(plan.steps.size());
-  const uint64_t t0 = obs::MonotonicNowNs();
-  Status st = [&]() -> Status {
-    for (const ExprPtr& f : plan.constant_filters) {
-      EXODUS_ASSIGN_OR_RETURN(Value v, Eval(*f, env));
-      EXODUS_ASSIGN_OR_RETURN(bool ok, Truthy(v));
-      if (!ok) return Status::OK();
-    }
-    // Hash-join build tables are per-execution (plans are shared between
-    // sessions and must stay immutable); built lazily on first probe.
-    std::vector<JoinTable> join_tables(plan.steps.size());
-    return RunStep(plan, 0, query, env, &join_tables, row_fn);
-  }();
-  run_stats_.total_ns = obs::MonotonicNowNs() - t0;
-  FlushOperatorMetrics(plan);
-  return st;
-}
-
 void Executor::FlushOperatorMetrics(const Plan& plan) const {
   if (ctx_->op_metrics == nullptr) return;
   for (size_t i = 0; i < plan.steps.size(); ++i) {
@@ -367,270 +333,6 @@ Result<bool> Executor::JoinKeyEquals(const Value& a, const Value& b) const {
     return c == 0;
   }
   return object::ValueEquals(a, b);
-}
-
-Status Executor::BuildJoinTable(const PlanStep& step, JoinTable* table,
-                                Env* env) {
-  table->built = true;
-  std::vector<Value> elems;
-  if (!step.named_collection.empty()) {
-    const extra::NamedObject* named =
-        ctx_->catalog->FindNamed(step.named_collection);
-    if (named == nullptr) {
-      return Status::NotFound("named collection '" + step.named_collection +
-                              "' disappeared during execution");
-    }
-    const Value& nv = NamedValue(named);
-    if (nv.kind() == ValueKind::kSet) {
-      elems = nv.set().elems;
-    } else if (nv.kind() == ValueKind::kArray) {
-      elems = nv.array().elems;
-    }
-  } else {
-    EXODUS_ASSIGN_OR_RETURN(Value coll, Eval(*step.range, env));
-    EXODUS_ASSIGN_OR_RETURN(elems, ElementsOf(coll));
-  }
-  table->entries.reserve(elems.size());
-  for (const Value& e : elems) {
-    if (e.is_null()) continue;
-    env->stack.emplace_back(step.var_name, e);
-    JoinEntry entry;
-    entry.keys.reserve(step.build_keys.size());
-    size_t h = 0x811c9dc5ULL;
-    bool usable = true;
-    Status st = Status::OK();
-    for (const ExprPtr& bk : step.build_keys) {
-      auto kv = Eval(*bk, env);
-      if (!kv.ok()) {
-        st = kv.status();
-        break;
-      }
-      if (kv->is_null()) {
-        usable = false;  // NULL keys never join
-        break;
-      }
-      if (kv->kind() == ValueKind::kRef) {
-        st = Status::TypeError(
-            "references cannot be compared with '='; use 'is' / 'isnot' "
-            "(object identity)");
-        break;
-      }
-      h = h * 1099511628211ULL + JoinKeyHash(*kv);
-      entry.keys.push_back(std::move(*kv));
-    }
-    env->stack.pop_back();
-    EXODUS_RETURN_IF_ERROR(st);
-    if (!usable) continue;
-    entry.element = e;
-    table->entries.emplace(h, std::move(entry));
-  }
-  return Status::OK();
-}
-
-Status Executor::RunStep(const Plan& plan, size_t step_idx,
-                         const BoundQuery& query, Env* env,
-                         std::vector<JoinTable>* join_tables,
-                         const std::function<Status(Env*)>& row_fn) {
-  if (step_idx == plan.steps.size()) {
-    ++run_stats_.rows_out;
-    return row_fn(env);
-  }
-  // Always-on accounting: the row counters are plain increments; wall
-  // time is sampled (see StepRuntime) so the common invocation adds no
-  // clock reads.
-  StepRuntime& srt = run_stats_.steps[step_idx];
-  ++srt.invocations;
-  if (srt.ShouldTime()) {
-    const uint64_t t0 = obs::MonotonicNowNs();
-    Status st = RunStepImpl(plan, step_idx, query, env, join_tables, row_fn);
-    // Re-fetch after the call: nested statements run on fresh Executors,
-    // but stay defensive against run_stats_ reallocation regardless.
-    StepRuntime& srt2 = run_stats_.steps[step_idx];
-    srt2.sampled_ns += obs::MonotonicNowNs() - t0;
-    ++srt2.timed_invocations;
-    return st;
-  }
-  return RunStepImpl(plan, step_idx, query, env, join_tables, row_fn);
-}
-
-Status Executor::RunStepImpl(const Plan& plan, size_t step_idx,
-                             const BoundQuery& query, Env* env,
-                             std::vector<JoinTable>* join_tables,
-                             const std::function<Status(Env*)>& row_fn) {
-  const PlanStep& step = plan.steps[step_idx];
-  StepRuntime& srt = run_stats_.steps[step_idx];
-
-  auto bind_and_descend = [&](const Value& element) -> Status {
-    env->stack.emplace_back(step.var_name, element);
-    bool pass = true;
-    for (const ExprPtr& f : step.filters) {
-      EXODUS_ASSIGN_OR_RETURN(Value fv, Eval(*f, env));
-      EXODUS_ASSIGN_OR_RETURN(pass, Truthy(fv));
-      if (!pass) break;
-    }
-    Status st = Status::OK();
-    if (pass) {
-      ++srt.rows_produced;
-      st = RunStep(plan, step_idx + 1, query, env, join_tables, row_fn);
-    }
-    env->stack.pop_back();
-    return st;
-  };
-
-  switch (step.kind) {
-    case PlanStep::Kind::kScan: {
-      const extra::NamedObject* named =
-          ctx_->catalog->FindNamed(step.named_collection);
-      if (named == nullptr) {
-        return Status::NotFound("named collection '" + step.named_collection +
-                                "' disappeared during execution");
-      }
-      const Value& nv = NamedValue(named);
-      if (nv.kind() == ValueKind::kSet) {
-        const auto& elems = nv.set().elems;
-        for (size_t i = 0; i < elems.size(); ++i) {
-          ++srt.rows_examined;
-          EXODUS_RETURN_IF_ERROR(bind_and_descend(elems[i]));
-        }
-      } else if (nv.kind() == ValueKind::kArray) {
-        const auto& elems = nv.array().elems;
-        for (size_t i = 0; i < elems.size(); ++i) {
-          if (elems[i].is_null()) continue;
-          ++srt.rows_examined;
-          EXODUS_RETURN_IF_ERROR(bind_and_descend(elems[i]));
-        }
-      }
-      return Status::OK();
-    }
-    case PlanStep::Kind::kIndexScan: {
-      index::IndexInfo* idx = ctx_->indexes->Find(step.index_name);
-      if (idx == nullptr) {
-        return Status::NotFound("index '" + step.index_name +
-                                "' disappeared during execution");
-      }
-      EXODUS_ASSIGN_OR_RETURN(Value key, Eval(*step.key, env));
-      if (key.is_null()) return Status::OK();  // null never matches
-      std::vector<Oid> oids;
-      if (step.key_op == "=") {
-        EXODUS_ASSIGN_OR_RETURN(oids, idx->Lookup(key));
-      } else {
-        if (idx->btree == nullptr) {
-          return Status::Internal("range scan on a non-btree index");
-        }
-        std::optional<Value> lo, hi;
-        bool lo_inc = true;
-        bool hi_inc = true;
-        if (step.key_op == "<") {
-          hi = key;
-          hi_inc = false;
-        } else if (step.key_op == "<=") {
-          hi = key;
-        } else if (step.key_op == ">") {
-          lo = key;
-          lo_inc = false;
-        } else if (step.key_op == ">=") {
-          lo = key;
-        }
-        EXODUS_ASSIGN_OR_RETURN(oids, idx->Range(lo, lo_inc, hi, hi_inc));
-      }
-      for (Oid oid : oids) {
-        ++srt.rows_examined;  // postings looked at, stale ones included
-        const object::HeapObject* obj = ReadObject(oid);
-        if (obj == nullptr) continue;  // stale entry / invisible version
-        // Recheck the indexed attribute against the probe: entries are
-        // maintained eagerly by concurrent writers and erased lazily by
-        // the GC sweep, so a posting may not describe the version this
-        // snapshot sees — and the optimizer consumed the matched
-        // conjunct, so no residual filter would catch the mismatch.
-        int ai = obj->type != nullptr ? obj->type->AttributeIndex(idx->attr)
-                                      : -1;
-        if (ai < 0 || static_cast<size_t>(ai) >= obj->fields.size()) continue;
-        const Value& fv = obj->fields[static_cast<size_t>(ai)];
-        if (fv.is_null()) continue;
-        Result<int> cmp = Compare(fv, key);
-        if (!cmp.ok()) continue;
-        bool match = step.key_op == "=" ? *cmp == 0
-                     : step.key_op == "<" ? *cmp < 0
-                     : step.key_op == "<=" ? *cmp <= 0
-                     : step.key_op == ">" ? *cmp > 0
-                                          : *cmp >= 0;
-        if (!match) continue;
-        EXODUS_RETURN_IF_ERROR(bind_and_descend(Value::Ref(oid)));
-      }
-      return Status::OK();
-    }
-    case PlanStep::Kind::kUnnest: {
-      EXODUS_ASSIGN_OR_RETURN(Value coll, Eval(*step.range, env));
-      EXODUS_ASSIGN_OR_RETURN(std::vector<Value> elems, ElementsOf(coll));
-      for (const Value& e : elems) {
-        if (e.is_null()) continue;
-        ++srt.rows_examined;
-        EXODUS_RETURN_IF_ERROR(bind_and_descend(e));
-      }
-      return Status::OK();
-    }
-    case PlanStep::Kind::kHashJoin: {
-      JoinTable& table = (*join_tables)[step_idx];
-      if (!table.built) {
-        EXODUS_RETURN_IF_ERROR(BuildJoinTable(step, &table, env));
-        srt.build_rows = table.entries.size();
-      }
-      size_t h = 0x811c9dc5ULL;
-      std::vector<Value> probe;
-      probe.reserve(step.probe_keys.size());
-      for (const ExprPtr& pk : step.probe_keys) {
-        EXODUS_ASSIGN_OR_RETURN(Value kv, Eval(*pk, env));
-        if (kv.is_null()) return Status::OK();  // NULL keys never join
-        if (kv.kind() == ValueKind::kRef) {
-          return Status::TypeError(
-              "references cannot be compared with '='; use 'is' / 'isnot' "
-              "(object identity)");
-        }
-        h = h * 1099511628211ULL + JoinKeyHash(kv);
-        probe.push_back(std::move(kv));
-      }
-      auto range = table.entries.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        const JoinEntry& entry = it->second;
-        ++srt.rows_examined;  // bucket candidates probed
-        bool match = true;
-        for (size_t k = 0; k < probe.size(); ++k) {
-          EXODUS_ASSIGN_OR_RETURN(bool eq,
-                                  JoinKeyEquals(entry.keys[k], probe[k]));
-          if (!eq) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          ++srt.probe_hits;
-          EXODUS_RETURN_IF_ERROR(bind_and_descend(entry.element));
-        }
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unknown plan step kind");
-}
-
-Result<std::vector<std::vector<Value>>> Executor::MaterializeRows(
-    const Plan& plan, const BoundQuery& query, Env* env) {
-  if (ctx_->options.vectorized) {
-    return MaterializeRowsBatched(plan, query, env);
-  }
-  std::vector<std::vector<Value>> rows;
-  Status st = RunPlan(plan, query, env, [&](Env* e) -> Status {
-    std::vector<Value> snapshot;
-    snapshot.reserve(query.vars.size());
-    for (const BoundVar& var : query.vars) {
-      const Value* v = e->Find(var.name);
-      snapshot.push_back(v != nullptr ? *v : Value::Null());
-    }
-    rows.push_back(std::move(snapshot));
-    return Status::OK();
-  });
-  EXODUS_RETURN_IF_ERROR(st);
-  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -730,69 +432,26 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
 
   bool need_materialize =
       !qlevel.empty() || stmt.unique || !stmt.sort_by.empty();
-  const bool vectorized = ctx_->options.vectorized;
 
   if (!need_materialize) {
-    if (vectorized) {
-      // Streaming batched retrieve: projections evaluate once per batch
-      // over columnar bindings instead of once per row through the
-      // binding stack.
-      std::vector<std::string> names;
-      names.reserve(plan.steps.size());
-      for (const PlanStep& s : plan.steps) names.push_back(s.var_name);
-      // Morsel-parallel when eligible: workers project their own batches
-      // into per-morsel buffers (worker-local scratch), concatenated in
-      // morsel order — same rows, same order as the serial stream.
-      EXODUS_ASSIGN_OR_RETURN(
-          bool parallel,
-          TryRunPlanParallel(
-              plan, query, env,
-              [&names, &stmt](Executor* wexec, Env* wenv, RowBatch& b,
-                              std::vector<std::vector<Value>>* out) -> Status {
-                return wexec->ProjectBatch(stmt, names, b, wenv,
-                                           &wexec->parallel_proj_scratch_, out);
-              },
-              &result.rows));
-      if (parallel) return result;
-      std::vector<std::vector<Value>> pscratch;
-      Status st = RunPlanBatched(plan, query, env,
-                                 [&](RowBatch& b) -> Status {
-                                   return ProjectBatch(stmt, names, b, env,
-                                                       &pscratch, &result.rows);
-                                 });
-      EXODUS_RETURN_IF_ERROR(st);
-      return result;
-    }
-    Status st = RunPlan(plan, query, env, [&](Env* e) -> Status {
-      std::vector<Value> row;
-      row.reserve(stmt.projections.size());
-      for (const Projection& p : stmt.projections) {
-        EXODUS_ASSIGN_OR_RETURN(Value v, Eval(*p.expr, e));
-        row.push_back(v.DeepCopy());
-      }
-      result.rows.push_back(std::move(row));
-      return Status::OK();
-    });
-    EXODUS_RETURN_IF_ERROR(st);
+    // Streaming retrieve: projections evaluate once per batch over
+    // columnar bindings. Morsel workers project into their own buffers,
+    // concatenated in morsel order (same rows, same order as serial).
+    std::vector<std::string> names;
+    names.reserve(plan.steps.size());
+    for (const PlanStep& s : plan.steps) names.push_back(s.var_name);
+    EXODUS_RETURN_IF_ERROR(RunPlanBatched(
+        plan, query, env,
+        [&names, &stmt](Executor* ex, Env* e, RowBatch& b,
+                        std::vector<std::vector<Value>>* out) -> Status {
+          return ex->ProjectBatch(stmt, names, b, e, out);
+        },
+        &result.rows));
     return result;
   }
 
   EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> bindings,
                           MaterializeRows(plan, query, env));
-
-  // Two-phase aggregation: per aggregate node, a single-pass hash table
-  // of group keys (the evaluated `over` values) carrying running
-  // aggregate state. Keys compare by deep value equality, so partitions
-  // that ValueEquals considers equal (e.g. int 2 and float 2.0) share a
-  // group — and distinct values never collide via string rendering.
-  struct AggTable {
-    const Expr* node;
-    std::unordered_map<std::vector<Value>, AggAccum, ValueVecHash, ValueVecEq>
-        groups;
-  };
-  std::vector<AggTable> tables;
-  tables.reserve(qlevel.size());
-  for (const Expr* a : qlevel) tables.push_back({a, {}});
 
   auto push_bindings = [&](const std::vector<Value>& row) {
     for (size_t vi = 0; vi < query.vars.size(); ++vi) {
@@ -803,45 +462,13 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
     for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
   };
 
+  // Columnar two-phase aggregation: partition keys and arguments
+  // evaluate once per column over all binding rows, then group via flat
+  // hash arrays; every binding row remembers its group per aggregate.
   BatchAggResult bagg;
   if (!qlevel.empty()) {
-    if (vectorized) {
-      // Columnar aggregation: evaluate partition keys and arguments once
-      // per column over all binding rows, then group via flat hash arrays.
-      EXODUS_ASSIGN_OR_RETURN(
-          bagg, AccumulateAggregatesBatched(qlevel, query, bindings, env));
-    } else {
-      for (const auto& row : bindings) {
-        push_bindings(row);
-        for (AggTable& table : tables) {
-          std::vector<Value> parts;
-          for (const ExprPtr& o : table.node->over) {
-            auto pv = Eval(*o, env);
-            if (!pv.ok()) {
-              pop_bindings();
-              return pv.status();
-            }
-            parts.push_back(*pv);
-          }
-          AggAccum& acc = table.groups[std::move(parts)];
-          Value v = Value::Int(1);  // count() with no argument counts rows
-          if (!table.node->args.empty()) {
-            auto av = Eval(*table.node->args[0], env);
-            if (!av.ok()) {
-              pop_bindings();
-              return av.status();
-            }
-            v = *av;
-          }
-          Status st = Accumulate(*table.node, &acc, v);
-          if (!st.ok()) {
-            pop_bindings();
-            return st;
-          }
-        }
-        pop_bindings();
-      }
-    }
+    EXODUS_ASSIGN_OR_RETURN(
+        bagg, AccumulateAggregatesBatched(qlevel, query, bindings, env));
   }
 
   // The "all aggregates, no partitions" case collapses to a single row.
@@ -857,44 +484,19 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
   }
 
   using AggMap = std::map<const Expr*, Value>;
-  auto agg_values_for_row = [&](bool have_row,
-                                size_t row_idx) -> Result<AggMap> {
+  auto agg_values_for_row = [&](bool have_row, size_t row_idx) -> AggMap {
     AggMap out;
-    if (vectorized) {
-      // Groups and finished values were precomputed columnar-style; each
-      // binding row carries its group index per aggregate table.
-      for (size_t t = 0; t < qlevel.size(); ++t) {
-        const Expr* node = qlevel[t];
-        Value v;
-        if (have_row && row_idx < bagg.row_group[t].size()) {
-          v = bagg.finished[t][bagg.row_group[t][row_idx]];
-        } else if (node->over.empty() && !bagg.finished[t].empty()) {
-          v = bagg.finished[t][0];
-        } else {
-          v = bagg.empty_finished[t];
-        }
-        out[node] = std::move(v);
-      }
-      return out;
-    }
-    for (AggTable& table : tables) {
-      std::vector<Value> key;
-      if (!table.node->over.empty() && have_row) {
-        for (const ExprPtr& o : table.node->over) {
-          EXODUS_ASSIGN_OR_RETURN(Value pv, Eval(*o, env));
-          key.push_back(pv);
-        }
-      }
-      auto git = table.groups.find(key);
-      if (git != table.groups.end()) {
-        EXODUS_ASSIGN_OR_RETURN(Value v,
-                                FinishAggregate(*table.node, git->second));
-        out[table.node] = std::move(v);
+    for (size_t t = 0; t < qlevel.size(); ++t) {
+      const Expr* node = qlevel[t];
+      Value v;
+      if (have_row && row_idx < bagg.row_group[t].size()) {
+        v = bagg.finished[t][bagg.row_group[t][row_idx]];
+      } else if (node->over.empty() && !bagg.finished[t].empty()) {
+        v = bagg.finished[t][0];
       } else {
-        AggAccum empty;
-        EXODUS_ASSIGN_OR_RETURN(Value v, FinishAggregate(*table.node, empty));
-        out[table.node] = std::move(v);
+        v = bagg.empty_finished[t];
       }
+      out[node] = std::move(v);
     }
     return out;
   };
@@ -903,7 +505,7 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
   std::vector<std::vector<Value>> sort_keys;
 
   if (single_row) {
-    EXODUS_ASSIGN_OR_RETURN(AggMap agg_vals, agg_values_for_row(false, 0));
+    AggMap agg_vals = agg_values_for_row(false, 0);
     agg_override_ = &agg_vals;
     std::vector<Value> row;
     Status st = Status::OK();
@@ -922,14 +524,7 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
     for (size_t ri = 0; ri < bindings.size(); ++ri) {
       push_bindings(bindings[ri]);
       AggMap agg_vals;
-      if (!qlevel.empty()) {
-        auto av = agg_values_for_row(true, ri);
-        if (!av.ok()) {
-          pop_bindings();
-          return av.status();
-        }
-        agg_vals = std::move(*av);
-      }
+      if (!qlevel.empty()) agg_vals = agg_values_for_row(true, ri);
       agg_override_ = qlevel.empty() ? nullptr : &agg_vals;
       std::vector<Value> row;
       std::vector<Value> skey;

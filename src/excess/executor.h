@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "auth/auth.h"
 #include "excess/ast.h"
 #include "excess/binder.h"
-#include "excess/exec_options.h"
 #include "excess/functions.h"
 #include "excess/optimizer.h"
 #include "excess/plan.h"
@@ -43,8 +41,8 @@ struct OperatorMetrics {
     obs::Counter* invocations = nullptr;
     obs::Counter* rows = nullptr;
     obs::Counter* time_ns = nullptr;
-    /// RowBatch windows expanded by the batch pipeline (0 under the
-    /// row-at-a-time path); rows/batches gives the realized batch size.
+    /// RowBatch windows expanded by the batch pipeline; rows/batches
+    /// gives the realized batch size.
     obs::Counter* batches = nullptr;
   };
   /// Indexed by static_cast<size_t>(PlanStep::Kind).
@@ -94,8 +92,8 @@ struct ExecContext {
   const std::map<std::string, ExprPtr>* session_ranges = nullptr;
   /// Function/procedure recursion depth (guards runaway recursion).
   int call_depth = 0;
-  /// All session execution knobs: optimizer rule switches, batch
-  /// (vectorized) execution, isolation mode.
+  /// All session execution knobs: optimizer rule switches, batch size,
+  /// worker threads, isolation mode.
   SessionOptions options;
   /// Snapshot epoch of the current statement. Every heap / named-cell
   /// read resolves versions visible at this epoch. kMaxEpoch ("newest
@@ -124,7 +122,7 @@ struct ExecContext {
 };
 
 /// Executes bound EXCESS statements (retrieve and all updates) against
-/// the object heap, with Volcano-style nested iteration over plan steps,
+/// the object heap, with batch-at-a-time nested iteration over plan steps,
 /// two-phase evaluation of partitioned aggregates, EXCESS function /
 /// procedure invocation with definer rights, ADT dispatch, index
 /// maintenance and authorization checks.
@@ -252,44 +250,11 @@ class Executor {
                                           const Plan& plan, Env* env);
 
   // --- plan execution ---
-  /// One build-side row of a hash-join step: the (deep-equality) key
-  /// values plus the element to bind on a probe hit.
-  struct JoinEntry {
-    std::vector<object::Value> keys;
-    object::Value element;
-  };
-  /// Per-execution state of one kHashJoin step: a multimap from the
-  /// combined key hash to candidate entries (confirmed by value
-  /// equality, so hash collisions never produce false matches). Built
-  /// lazily on the first probe, then reused for every outer row of one
-  /// plan execution. Lives outside the (shared, immutable) Plan so
-  /// cached plans stay safe to execute concurrently.
-  struct JoinTable {
-    bool built = false;
-    std::unordered_multimap<size_t, JoinEntry> entries;
-  };
   /// PlanStatement + privilege checks + last_plan_ (the one-shot path).
   util::Result<BoundQuery> BindAndPlan(const Stmt& stmt, const Env& env,
                                        Plan* plan);
   /// Authorization: retrieving bindings reads every root extent.
   util::Status CheckPlanPrivileges(const Plan& plan) const;
-  /// Runs the pipeline of plan steps; `row_fn` is called for every
-  /// surviving binding row and may return an error to abort.
-  util::Status RunPlan(const Plan& plan, const BoundQuery& query, Env* env,
-                       const std::function<util::Status(Env*)>& row_fn);
-  util::Status RunStep(const Plan& plan, size_t step_idx,
-                       const BoundQuery& query, Env* env,
-                       std::vector<JoinTable>* join_tables,
-                       const std::function<util::Status(Env*)>& row_fn);
-  /// RunStep's body; RunStep itself only handles the end-of-pipeline
-  /// case and the per-invocation runtime accounting (sampled timing).
-  util::Status RunStepImpl(const Plan& plan, size_t step_idx,
-                           const BoundQuery& query, Env* env,
-                           std::vector<JoinTable>* join_tables,
-                           const std::function<util::Status(Env*)>& row_fn);
-  /// Builds the hash table for the kHashJoin step at `step_idx`.
-  util::Status BuildJoinTable(const PlanStep& step, JoinTable* table,
-                              Env* env);
   /// '='-semantics equality for hash-join keys: NULL never matches,
   /// int/float compare numerically, enum<->string compare by label,
   /// references are a TypeError (mirrors EvalBinary's "=").
@@ -299,25 +264,17 @@ class Executor {
   /// enum-vs-string probes land in the same bucket).
   static size_t JoinKeyHash(const object::Value& v);
 
-  /// Materializes all binding rows (used by updates — mutate after
-  /// enumeration — and by aggregate/sort/unique retrieves). Rows are in
-  /// BoundQuery::vars order. Dispatches to the batch pipeline when
-  /// ExecOptions::vectorized is set.
-  util::Result<std::vector<std::vector<object::Value>>> MaterializeRows(
-      const Plan& plan, const BoundQuery& query, Env* env);
-
-  // --- batch (vectorized) plan execution — executor_batch.cc ---
-  /// Per-execution columnar scratch of one kHashJoin step in the batch
-  /// pipeline: build-side key values, elements and full combined-key
-  /// hashes as flat parallel arrays, chained into power-of-two buckets.
-  /// Probing walks integer chains over the contiguous hash array, so key
-  /// hashing/comparison never touches node-based containers. Built
-  /// lazily on the first probe batch, like JoinTable.
+  /// Per-execution columnar state of one kHashJoin step: build-side key
+  /// values, elements and full combined-key hashes as flat parallel
+  /// arrays, chained into power-of-two buckets. Probing walks integer
+  /// chains over the contiguous hash array, so key hashing/comparison
+  /// never touches node-based containers. Lives outside the (shared,
+  /// immutable) Plan so cached plans stay safe to execute concurrently.
   /// Once built the table is immutable, so the morsel pipeline can
   /// share one instance read-only across workers; probe-side scratch
   /// (mutated per batch) lives in the per-worker Executor instead
   /// (probe_scratch_).
-  struct ColumnarJoinTable {
+  struct JoinHashTable {
     bool built = false;
     std::vector<std::vector<object::Value>> key_cols;  // [key][entry]
     std::vector<object::Value> elements;               // [entry]
@@ -327,25 +284,49 @@ class Executor {
     size_t bucket_mask = 0;
   };
   using BatchSink = std::function<util::Status(RowBatch&)>;
-  /// Batch-at-a-time counterpart of RunPlan: operators exchange RowBatch
-  /// windows of ExecOptions::batch_size rows; `sink` receives every
-  /// surviving batch (columns in plan-step order) and may retain its
-  /// columns by moving them out. Counter semantics match RunPlan
-  /// exactly; wall time is sampled per batch (StepRuntime::
-  /// ShouldTimeBatch).
+  /// Converts one surviving RowBatch into output rows appended to `out`,
+  /// using the given executor/environment (the statement's own on the
+  /// serial path, worker-local ones under the morsel scheduler). The two
+  /// implementations are binding materialization (BoundQuery::vars
+  /// order) and streaming projection.
+  using RowEmit = std::function<util::Status(
+      Executor* ex, Env* env, RowBatch& batch,
+      std::vector<std::vector<object::Value>>* out)>;
+  /// Runs the plan pipeline: operators exchange RowBatch windows of
+  /// SessionOptions::batch_size rows, and `emit` turns every surviving
+  /// batch (columns in plan-step order) into rows of `out`. Validates
+  /// the session options, evaluates the plan's constant filters, then
+  /// runs morsel-parallel when TryRunPlanParallel accepts the statement
+  /// and serially otherwise (same rows, same order). Wall time is
+  /// sampled per batch (StepRuntime::ShouldTimeBatch).
   util::Status RunPlanBatched(const Plan& plan, const BoundQuery& query,
-                              Env* env, const BatchSink& sink);
+                              Env* env, const RowEmit& emit,
+                              std::vector<std::vector<object::Value>>* out);
   /// Per-batch accounting wrapper around ExpandStepBatch (and the
-  /// end-of-pipeline case), mirroring RunStep.
+  /// end-of-pipeline case).
   util::Status RunStepBatched(const Plan& plan, size_t step_idx, RowBatch& in,
-                              Env* env, std::vector<ColumnarJoinTable>* tables,
+                              Env* env, std::vector<JoinHashTable>* tables,
                               const BatchSink& sink);
   util::Status ExpandStepBatch(const Plan& plan, size_t step_idx, RowBatch& in,
                                Env* env,
-                               std::vector<ColumnarJoinTable>* tables,
+                               std::vector<JoinHashTable>* tables,
                                const BatchSink& sink);
-  util::Status BuildColumnarJoinTable(const PlanStep& step,
-                                      ColumnarJoinTable* table, Env* env);
+  /// Builds the hash table of a kHashJoin step. The build side is
+  /// resolved once; its elements are hashed in batch_cap_-sized chunks
+  /// on up to `workers` threads (one chunk, on this thread, when the
+  /// input is small or workers <= 1), concatenated in chunk order — so
+  /// chains enumerate in element order whatever the worker count — and
+  /// then chained into the bucket directory single-threaded.
+  util::Status BuildJoinHashTable(const PlanStep& step,
+                                      JoinHashTable* table, Env* env,
+                                      int workers);
+  /// Hashes the non-null elements [lo, hi) of a hash-join build side
+  /// into the flat arrays of `out` (key columns, elements, hashes).
+  /// Elements whose key is NULL never join and are skipped.
+  util::Status HashJoinBuildRange(const PlanStep& step,
+                                  const std::vector<object::Value>& elems,
+                                  size_t lo, size_t hi, Env* env,
+                                  JoinHashTable* out);
   /// Records a batch_size > kMaxBatchSize clamp: remembers the
   /// requested value in run_stats_ (surfaced as a `\explain analyze`
   /// note), bumps exodus_exec_batch_size_clamped_total and logs a
@@ -356,12 +337,12 @@ class Executor {
   util::Status ApplyStepFilters(const PlanStep& step,
                                 const std::vector<std::string>& names,
                                 RowBatch* batch, Env* env);
-  /// Vectorized expression evaluation: `out` receives one value per
-  /// batch row. Row-invariant expressions evaluate once and broadcast;
-  /// attribute access and non-short-circuit operators run as tight
-  /// per-batch loops; everything else (and/or, calls, aggregates,
+  /// Column-at-a-time expression evaluation: `out` receives one value
+  /// per batch row. Row-invariant expressions evaluate once and
+  /// broadcast; attribute access and non-short-circuit operators run as
+  /// tight per-batch loops; everything else (and/or, calls, aggregates,
   /// quantifiers) falls back to per-row Eval with the batch variables
-  /// bound in `env` — same semantics, no vectorization.
+  /// bound in `env` — same semantics, no per-column loop.
   util::Status EvalBatch(const Expr& expr,
                          const std::vector<std::string>& names,
                          const RowBatch& batch, Env* env,
@@ -383,16 +364,18 @@ class Executor {
   static bool ReferencesBatchVar(const Expr& expr,
                                  const std::vector<std::string>& names,
                                  size_t depth);
-  util::Result<std::vector<std::vector<object::Value>>> MaterializeRowsBatched(
+  /// Materializes all binding rows (used by updates — mutate after
+  /// enumeration — and by aggregate/sort/unique retrieves). Rows are in
+  /// BoundQuery::vars order.
+  util::Result<std::vector<std::vector<object::Value>>> MaterializeRows(
       const Plan& plan, const BoundQuery& query, Env* env);
   /// Streaming retrieve over the batch pipeline: evaluates every
-  /// projection per batch and appends deep-copied output rows. `scratch`
-  /// holds one evaluation column per projection and is owned by the
-  /// caller so capacity survives across batches.
+  /// projection per batch and appends deep-copied output rows.
+  /// Evaluation columns live in proj_scratch_ so their capacity
+  /// survives across batches.
   util::Status ProjectBatch(const Stmt& stmt,
                             const std::vector<std::string>& names,
                             const RowBatch& batch, Env* env,
-                            std::vector<std::vector<object::Value>>* scratch,
                             std::vector<std::vector<object::Value>>* out);
   /// Columnar two-phase aggregation over materialized binding rows: per
   /// aggregate table, group keys live in flat per-key columns with a
@@ -413,48 +396,33 @@ class Executor {
   /// Worker count the current statement resolves to: exec_threads, or
   /// hardware concurrency when 0 (the auto default).
   int ResolveExecThreads() const;
-  /// Converts one surviving RowBatch into output rows appended to `out`
-  /// using worker-local executor/environment state. The two
-  /// implementations mirror the serial sinks: binding materialization
-  /// (BoundQuery::vars order) and streaming projection.
-  using MorselEmit = std::function<util::Status(
-      Executor* wexec, Env* wenv, RowBatch& batch,
-      std::vector<std::vector<object::Value>>* out)>;
-  /// Morsel scheduler: partitions the driving extent scan into
-  /// batch_cap_-aligned morsels, runs the RunStepBatched pipeline on
-  /// ResolveExecThreads() workers (pool tasks plus the calling thread,
-  /// all claiming morsels from one atomic counter) against shared
-  /// eagerly-built join tables, and concatenates per-morsel output
-  /// buffers in morsel order so row order matches the serial path.
-  /// Returns false — without touching `out_rows` — when the statement
-  /// is not eligible (one worker, no pool, nested execution, non-scan
-  /// driving step, or fewer than two morsels); the caller then falls
-  /// back to the serial batch path. Per-worker PlanRuntime counters are
-  /// folded into run_stats_ at the end, so `\explain analyze` actuals
-  /// stay exact under concurrency.
+  /// Morsel scheduler, called by RunPlanBatched after its prologue:
+  /// partitions the driving extent scan into batch_cap_-aligned
+  /// morsels, runs the RunStepBatched pipeline on ResolveExecThreads()
+  /// workers (pool tasks plus the calling thread, all claiming morsels
+  /// from one atomic counter) against shared eagerly-built join tables,
+  /// and concatenates per-morsel output buffers in morsel order so row
+  /// order matches the serial path. Returns false — without touching
+  /// `out_rows` — when the statement is not eligible (one worker, no
+  /// pool, nested execution, non-scan driving step, or fewer than two
+  /// morsels); the caller then runs the serial pipeline. Per-worker
+  /// PlanRuntime counters are folded into run_stats_ at the end, so
+  /// `\explain analyze` actuals stay exact under concurrency.
   util::Result<bool> TryRunPlanParallel(
       const Plan& plan, const BoundQuery& query, Env* env,
-      const MorselEmit& emit,
+      const RowEmit& emit,
       std::vector<std::vector<object::Value>>* out_rows);
   /// Runs fn(0..total-1): total-1 pool tasks plus the calling thread as
   /// worker 0, returning after every invocation finished. Falls back to
   /// inline execution if the pool refuses a task (shutdown).
   void RunOnWorkers(int total, const std::function<void(int)>& fn);
-  /// Chunk-parallel variant of BuildColumnarJoinTable: workers evaluate
-  /// build keys over contiguous element chunks into per-worker partial
-  /// tables, which are concatenated in chunk order (preserving the
-  /// serial build order, hence chain enumeration and output order)
-  /// before the chained directory is rebuilt single-threaded.
-  util::Status BuildColumnarJoinTableParallel(const PlanStep& step,
-                                              ColumnarJoinTable* table,
-                                              Env* env, int workers);
 
   // --- expression evaluation ---
   util::Result<object::Value> Eval(const Expr& expr, Env* env);
   util::Result<object::Value> EvalBinary(const Expr& expr, Env* env);
   /// EvalBinary's operator application once both operands are evaluated
-  /// (every operator except short-circuiting and/or). Shared between the
-  /// row path and the batch loops so '=' / arithmetic / ADT semantics
+  /// (every operator except short-circuiting and/or). Shared between
+  /// Eval and the batch loops so '=' / arithmetic / ADT semantics
   /// cannot diverge.
   util::Result<object::Value> ApplyBinary(const std::string& op,
                                           const object::Value& lhs,
@@ -625,19 +593,19 @@ class Executor {
   /// Query-level aggregate values for the current output row.
   const std::map<const Expr*, object::Value>* agg_override_ = nullptr;
   std::string last_plan_;
-  /// Actuals of the most recent RunPlan (reset at its start). One
+  /// Actuals of the most recent RunPlanBatched (reset at its start). One
   /// instance per Executor, so concurrent sessions executing one cached
   /// plan never share runtime state.
   PlanRuntime run_stats_;
   /// Validated rows-per-batch capacity of the current RunPlanBatched.
   size_t batch_cap_ = 1;
   /// Probe-side key scratch per kHashJoin step, reused across batches.
-  /// Per-Executor (not per-ColumnarJoinTable) so the morsel pipeline's
+  /// Per-Executor (not per-JoinHashTable) so the morsel pipeline's
   /// workers can probe one shared table without racing on scratch.
   std::vector<std::vector<std::vector<object::Value>>> probe_scratch_;
-  /// Streaming-projection scratch of a morsel worker (capacity survives
-  /// across batches, like the serial path's caller-owned scratch).
-  std::vector<std::vector<object::Value>> parallel_proj_scratch_;
+  /// ProjectBatch's evaluation columns, one per projection (capacity
+  /// survives across batches; each morsel worker has its own).
+  std::vector<std::vector<object::Value>> proj_scratch_;
 };
 
 }  // namespace exodus::excess

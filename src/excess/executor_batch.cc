@@ -1,12 +1,14 @@
-// Batch (vectorized) half of the Executor: plan steps exchange RowBatch
-// windows in columnar layout instead of recursing once per binding row.
-// Semantics — filter short-circuiting, '=' join key rules, null
-// handling, error messages and the per-step counters — are kept in
-// exact parity with the row-at-a-time path in executor.cc, which stays
-// available behind ExecOptions::vectorized = false.
+// The Executor's plan pipeline: plan steps exchange RowBatch windows in
+// columnar layout, expressions evaluate a column at a time where they
+// can, hash joins probe flat chained tables and query-level aggregates
+// group over flat hash directories. This is the only execution engine;
+// tests/reference_eval.h holds the naive nested-loop evaluator that
+// batch_exec_test checks it against.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 #include <optional>
 
@@ -23,8 +25,7 @@ using util::Status;
 
 namespace {
 
-// FNV-1a-style combine, identical to the row path's key hashing so the
-// two pipelines bucket values the same way.
+// FNV-1a-style combine for multi-column keys (join keys, group keys).
 constexpr size_t kHashBasis = 0x811c9dc5ULL;
 constexpr size_t kHashPrime = 1099511628211ULL;
 
@@ -258,7 +259,7 @@ Status Executor::ApplyStepFilters(const PlanStep& step,
     if (batch->rows == 0) return Status::OK();
     EXODUS_RETURN_IF_ERROR(EvalBatch(*f, names, *batch, env, &fvals));
     // In-place compaction; filter i+1 only ever sees rows filter i
-    // passed, like the row path's short-circuiting filter loop.
+    // passed (conjuncts short-circuit left to right).
     size_t w = 0;
     for (size_t r = 0; r < batch->rows; ++r) {
       EXODUS_ASSIGN_OR_RETURN(bool pass, Truthy(fvals[r]));
@@ -274,9 +275,67 @@ Status Executor::ApplyStepFilters(const PlanStep& step,
   return Status::OK();
 }
 
-Status Executor::BuildColumnarJoinTable(const PlanStep& step,
-                                        ColumnarJoinTable* table, Env* env) {
+Status Executor::HashJoinBuildRange(const PlanStep& step,
+                                    const std::vector<Value>& elems,
+                                    size_t lo, size_t hi, Env* env,
+                                    JoinHashTable* out) {
+  const size_t nkeys = step.build_keys.size();
+  // Non-null elements form a one-column batch so key expressions run
+  // through EvalBatch instead of one Eval per element (same
+  // column-at-a-time semantics as the probe side).
+  RowBatch eb;
+  eb.cols.resize(1);
+  eb.cols[0].reserve(hi - lo);
+  for (size_t i = lo; i < hi; ++i) {
+    if (!elems[i].is_null()) eb.cols[0].push_back(elems[i]);
+  }
+  eb.rows = eb.cols[0].size();
+  const std::vector<std::string> bnames = {step.var_name};
+  std::vector<std::vector<Value>> kscratch(nkeys);
+  std::vector<const std::vector<Value>*> kcols(nkeys);
+  for (size_t k = 0; k < nkeys; ++k) {
+    EXODUS_ASSIGN_OR_RETURN(
+        kcols[k],
+        EvalBatchCol(*step.build_keys[k], bnames, eb, env, &kscratch[k]));
+  }
+
+  out->key_cols.assign(nkeys, {});
+  for (auto& kc : out->key_cols) kc.reserve(eb.rows);
+  out->elements.reserve(eb.rows);
+  out->hashes.reserve(eb.rows);
+  for (size_t r = 0; r < eb.rows; ++r) {
+    size_t h = kHashBasis;
+    bool usable = true;
+    for (size_t k = 0; k < nkeys; ++k) {
+      const Value& kv = (*kcols[k])[r];
+      if (kv.is_null()) {
+        usable = false;  // NULL keys never join
+        break;
+      }
+      if (kv.kind() == ValueKind::kRef) {
+        return Status::TypeError(
+            "references cannot be compared with '='; use 'is' / 'isnot' "
+            "(object identity)");
+      }
+      h = h * kHashPrime + JoinKeyHash(kv);
+    }
+    if (!usable) continue;
+    for (size_t k = 0; k < nkeys; ++k) {
+      out->key_cols[k].push_back((*kcols[k])[r]);
+    }
+    out->elements.push_back(eb.cols[0][r]);
+    out->hashes.push_back(h);
+  }
+  return Status::OK();
+}
+
+Status Executor::BuildJoinHashTable(const PlanStep& step,
+                                        JoinHashTable* table, Env* env,
+                                        int workers) {
   table->built = true;
+  // Resolve the build side once, on the statement thread (range
+  // expressions may evaluate arbitrary EXCESS; named collections read
+  // the snapshot version, which the statement's pin keeps alive).
   std::vector<Value> owned;
   const std::vector<Value>* elems = &owned;
   if (!step.named_collection.empty()) {
@@ -297,64 +356,68 @@ Status Executor::BuildColumnarJoinTable(const PlanStep& step,
     EXODUS_ASSIGN_OR_RETURN(owned, ElementsOf(coll));
   }
 
-  const size_t nkeys = step.build_keys.size();
-  // Non-null elements form a one-column batch so key expressions run
-  // through the vectorized evaluator instead of one Eval per element
-  // (same column-at-a-time semantics as the probe side).
-  RowBatch eb;
-  eb.cols.resize(1);
-  eb.cols[0].reserve(elems->size());
-  for (const Value& e : *elems) {
-    if (e.is_null()) continue;
-    eb.cols[0].push_back(e);
-  }
-  eb.rows = eb.cols[0].size();
-  const std::vector<std::string> bnames = {step.var_name};
-  std::vector<std::vector<Value>> kscratch(nkeys);
-  std::vector<const std::vector<Value>*> kcols(nkeys);
-  for (size_t k = 0; k < nkeys; ++k) {
-    EXODUS_ASSIGN_OR_RETURN(
-        kcols[k],
-        EvalBatchCol(*step.build_keys[k], bnames, eb, env, &kscratch[k]));
-  }
-
-  table->key_cols.assign(nkeys, {});
-  for (auto& kc : table->key_cols) kc.reserve(eb.rows);
-  table->elements.reserve(eb.rows);
-  table->hashes.reserve(eb.rows);
-
-  for (size_t r = 0; r < eb.rows; ++r) {
-    size_t h = kHashBasis;
-    bool usable = true;
-    for (size_t k = 0; k < nkeys; ++k) {
-      const Value& kv = (*kcols[k])[r];
-      if (kv.is_null()) {
-        usable = false;  // NULL keys never join
-        break;
+  const size_t n = elems->size();
+  if (workers <= 1 || n < 2 * batch_cap_) {
+    // Too small to amortize a fan-out: the one-chunk build, in place.
+    EXODUS_RETURN_IF_ERROR(HashJoinBuildRange(step, *elems, 0, n, env, table));
+  } else {
+    const size_t nchunks = (n + batch_cap_ - 1) / batch_cap_;
+    std::vector<JoinHashTable> chunks(nchunks);
+    std::vector<Status> chunk_status(nchunks, Status::OK());
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+    RunOnWorkers(std::min<int>(workers, static_cast<int>(nchunks)), [&](int) {
+      ExecContext wctx = *ctx_;
+      wctx.trace = nullptr;
+      wctx.exec_pool = nullptr;
+      Executor wexec(&wctx);
+      wexec.batch_cap_ = batch_cap_;
+      Env wenv;
+      wenv.stack = env->stack;
+      wenv.params = env->params;
+      while (!failed.load(std::memory_order_relaxed)) {
+        const size_t c = next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= nchunks) break;
+        const size_t lo = c * batch_cap_;
+        Status st = wexec.HashJoinBuildRange(
+            step, *elems, lo, std::min(n, lo + batch_cap_), &wenv, &chunks[c]);
+        if (!st.ok()) {
+          chunk_status[c] = std::move(st);
+          failed.store(true, std::memory_order_relaxed);
+          break;
+        }
       }
-      if (kv.kind() == ValueKind::kRef) {
-        return Status::TypeError(
-            "references cannot be compared with '='; use 'is' / 'isnot' "
-            "(object identity)");
+    });
+    for (const Status& st : chunk_status) EXODUS_RETURN_IF_ERROR(st);
+    // Concatenate in chunk order: the merged entry order is element
+    // order, exactly as the one-chunk build produces it.
+    size_t total = 0;
+    for (const JoinHashTable& c : chunks) total += c.elements.size();
+    const size_t nkeys = step.build_keys.size();
+    table->key_cols.assign(nkeys, {});
+    for (auto& kc : table->key_cols) kc.reserve(total);
+    table->elements.reserve(total);
+    table->hashes.reserve(total);
+    for (JoinHashTable& c : chunks) {
+      for (size_t k = 0; k < nkeys; ++k) {
+        std::move(c.key_cols[k].begin(), c.key_cols[k].end(),
+                  std::back_inserter(table->key_cols[k]));
       }
-      h = h * kHashPrime + JoinKeyHash(kv);
+      std::move(c.elements.begin(), c.elements.end(),
+                std::back_inserter(table->elements));
+      table->hashes.insert(table->hashes.end(), c.hashes.begin(),
+                           c.hashes.end());
     }
-    if (!usable) continue;
-    for (size_t k = 0; k < nkeys; ++k) {
-      table->key_cols[k].push_back((*kcols[k])[r]);
-    }
-    table->elements.push_back(eb.cols[0][r]);
-    table->hashes.push_back(h);
   }
 
   // Chained bucket directory over the flat hash array. Entries are
   // inserted back-to-front so every chain enumerates in build order.
-  const size_t n = table->elements.size();
-  const size_t buckets = BucketCountFor(n);
+  const size_t rows = table->elements.size();
+  const size_t buckets = BucketCountFor(rows);
   table->bucket_mask = buckets - 1;
   table->heads.assign(buckets, -1);
-  table->next.assign(n, -1);
-  for (size_t i = n; i-- > 0;) {
+  table->next.assign(rows, -1);
+  for (size_t i = rows; i-- > 0;) {
     const size_t bidx = table->hashes[i] & table->bucket_mask;
     table->next[i] = table->heads[bidx];
     table->heads[bidx] = static_cast<int32_t>(i);
@@ -364,7 +427,7 @@ Status Executor::BuildColumnarJoinTable(const PlanStep& step,
 
 Status Executor::RunStepBatched(const Plan& plan, size_t step_idx,
                                 RowBatch& in, Env* env,
-                                std::vector<ColumnarJoinTable>* tables,
+                                std::vector<JoinHashTable>* tables,
                                 const BatchSink& sink) {
   if (in.rows == 0) return Status::OK();
   if (step_idx == plan.steps.size()) {
@@ -377,8 +440,8 @@ Status Executor::RunStepBatched(const Plan& plan, size_t step_idx,
     }
     return sink(in);
   }
-  // A batch accounts for all of its rows at once: invocations stays
-  // comparable with the row path, batches records the window count.
+  // A batch accounts for all of its rows at once: invocations counts
+  // parent rows, batches records the window count.
   StepRuntime& srt = run_stats_.steps[step_idx];
   srt.invocations += in.rows;
   ++srt.batches;
@@ -395,7 +458,7 @@ Status Executor::RunStepBatched(const Plan& plan, size_t step_idx,
 
 Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
                                  RowBatch& in, Env* env,
-                                 std::vector<ColumnarJoinTable>* tables,
+                                 std::vector<JoinHashTable>* tables,
                                  const BatchSink& sink) {
   const PlanStep& step = plan.steps[step_idx];
   StepRuntime& srt = run_stats_.steps[step_idx];
@@ -529,8 +592,9 @@ Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
           if (obj == nullptr) continue;  // stale entry / invisible version
           // Recheck the indexed attribute against the probe key: with
           // eager concurrent inserts and GC-deferred erases a posting
-          // may not describe this snapshot's version, and the matched
-          // conjunct was consumed by the optimizer (see the row path).
+          // may not describe this snapshot's version, and the optimizer
+          // consumed the matched conjunct, so no residual filter would
+          // catch the mismatch.
           int ai = obj->type != nullptr
                        ? obj->type->AttributeIndex(idx->attr)
                        : -1;
@@ -576,9 +640,10 @@ Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
       return flush();
     }
     case PlanStep::Kind::kHashJoin: {
-      ColumnarJoinTable& table = (*tables)[step_idx];
+      JoinHashTable& table = (*tables)[step_idx];
       if (!table.built) {
-        EXODUS_RETURN_IF_ERROR(BuildColumnarJoinTable(step, &table, env));
+        EXODUS_RETURN_IF_ERROR(
+            BuildJoinHashTable(step, &table, env, /*workers=*/1));
         srt.build_rows = table.elements.size();
       }
       const size_t nkeys = step.probe_keys.size();
@@ -612,7 +677,7 @@ Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
         for (int32_t e = table.heads[h & table.bucket_mask]; e >= 0;
              e = table.next[e]) {
           // Bucket collisions with a different full hash are skipped
-          // without counting, mirroring the row path's equal_range(h).
+          // without counting: only full-hash candidates are examined.
           if (table.hashes[e] != h) continue;
           ++srt.rows_examined;  // bucket candidates probed
           bool match = true;
@@ -638,23 +703,14 @@ Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
 }
 
 Status Executor::RunPlanBatched(const Plan& plan, const BoundQuery& query,
-                                Env* env, const BatchSink& sink) {
-  (void)query;
+                                Env* env, const RowEmit& emit,
+                                std::vector<std::vector<Value>>* out) {
   run_stats_.Reset(plan.steps.size());
   const uint64_t t0 = obs::MonotonicNowNs();
   Status st = [&]() -> Status {
+    EXODUS_RETURN_IF_ERROR(ctx_->options.Validate());
     const int bs = ctx_->options.batch_size;
-    if (bs < 1) {
-      return Status::OutOfRange("ExecOptions::batch_size must be >= 1 (got " +
-                                std::to_string(bs) + ")");
-    }
-    if (ctx_->options.exec_threads < 0) {
-      return Status::OutOfRange(
-          "ExecOptions::exec_threads must be >= 0 (got " +
-          std::to_string(ctx_->options.exec_threads) + ")");
-    }
-    batch_cap_ = std::min(static_cast<size_t>(bs),
-                          static_cast<size_t>(SessionOptions::kMaxBatchSize));
+    batch_cap_ = static_cast<size_t>(std::min(bs, SessionOptions::kMaxBatchSize));
     if (bs > SessionOptions::kMaxBatchSize) NoteBatchClamp(bs);
     probe_scratch_.resize(plan.steps.size());
     for (const ExprPtr& f : plan.constant_filters) {
@@ -662,21 +718,25 @@ Status Executor::RunPlanBatched(const Plan& plan, const BoundQuery& query,
       EXODUS_ASSIGN_OR_RETURN(bool ok, Truthy(v));
       if (!ok) return Status::OK();
     }
+    EXODUS_ASSIGN_OR_RETURN(bool parallel,
+                            TryRunPlanParallel(plan, query, env, emit, out));
+    if (parallel) return Status::OK();
     // Columnar join scratch is per-execution (plans are shared between
     // sessions and must stay immutable); built lazily on first probe.
-    std::vector<ColumnarJoinTable> tables(plan.steps.size());
+    std::vector<JoinHashTable> tables(plan.steps.size());
     // One empty parent row drives the outermost step, so step 0 records
-    // exactly one invocation like the row path.
+    // exactly one invocation.
     RowBatch seed;
     seed.rows = 1;
-    return RunStepBatched(plan, 0, seed, env, &tables, sink);
+    return RunStepBatched(plan, 0, seed, env, &tables,
+                          [&](RowBatch& b) { return emit(this, env, b, out); });
   }();
   run_stats_.total_ns = obs::MonotonicNowNs() - t0;
   FlushOperatorMetrics(plan);
   return st;
 }
 
-Result<std::vector<std::vector<Value>>> Executor::MaterializeRowsBatched(
+Result<std::vector<std::vector<Value>>> Executor::MaterializeRows(
     const Plan& plan, const BoundQuery& query, Env* env) {
   const size_t nvars = query.vars.size();
   // Optimizer-built plans carry var_step; hand-built plans (tests) fall
@@ -694,35 +754,23 @@ Result<std::vector<std::vector<Value>>> Executor::MaterializeRowsBatched(
     }
   }
   std::vector<std::vector<Value>> rows;
-  auto materialize = [&var_step, nvars](
-                         RowBatch& b,
+  Status st = RunPlanBatched(
+      plan, query, env,
+      [&var_step, nvars](Executor*, Env*, RowBatch& b,
                          std::vector<std::vector<Value>>* out) -> Status {
-    for (size_t r = 0; r < b.rows; ++r) {
-      std::vector<Value> row;
-      row.reserve(nvars);
-      for (size_t vi = 0; vi < nvars; ++vi) {
-        const int s = var_step[vi];
-        row.push_back(s >= 0 ? b.cols[static_cast<size_t>(s)][r]
-                             : Value::Null());
-      }
-      out->push_back(std::move(row));
-    }
-    return Status::OK();
-  };
-  // Morsel-parallel when eligible: workers materialize their own batches
-  // into per-morsel buffers, concatenated in morsel order — identical
-  // rows and order to the serial sink below.
-  EXODUS_ASSIGN_OR_RETURN(
-      bool parallel,
-      TryRunPlanParallel(plan, query, env,
-                         [&materialize](Executor*, Env*, RowBatch& b,
-                                        std::vector<std::vector<Value>>* out)
-                             -> Status { return materialize(b, out); },
-                         &rows));
-  if (parallel) return rows;
-  Status st = RunPlanBatched(plan, query, env, [&](RowBatch& b) -> Status {
-    return materialize(b, &rows);
-  });
+        for (size_t r = 0; r < b.rows; ++r) {
+          std::vector<Value> row;
+          row.reserve(nvars);
+          for (size_t vi = 0; vi < nvars; ++vi) {
+            const int s = var_step[vi];
+            row.push_back(s >= 0 ? b.cols[static_cast<size_t>(s)][r]
+                                 : Value::Null());
+          }
+          out->push_back(std::move(row));
+        }
+        return Status::OK();
+      },
+      &rows);
   EXODUS_RETURN_IF_ERROR(st);
   return rows;
 }
@@ -730,10 +778,9 @@ Result<std::vector<std::vector<Value>>> Executor::MaterializeRowsBatched(
 Status Executor::ProjectBatch(const Stmt& stmt,
                               const std::vector<std::string>& names,
                               const RowBatch& batch, Env* env,
-                              std::vector<std::vector<Value>>* scratch,
                               std::vector<std::vector<Value>>* out) {
   const size_t np = stmt.projections.size();
-  std::vector<std::vector<Value>>& pscratch = *scratch;
+  std::vector<std::vector<Value>>& pscratch = proj_scratch_;
   pscratch.resize(np);
   std::vector<const std::vector<Value>*> pcols(np);
   for (size_t p = 0; p < np; ++p) {

@@ -6,9 +6,9 @@
 // eagerly-built read-only join tables. Pipeline breakers merge single-
 // threaded: per-worker partial aggregates in executor_batch.cc, and
 // per-morsel output buffers concatenated in morsel order here so row
-// order matches the serial path bit for bit. EXODUS_EXEC_THREADS=1
-// never enters this file — the serial batch path is the differential
-// oracle.
+// order matches the serial path bit for bit. With exec_threads = 1 the
+// scheduler declines every statement, which makes the serial pipeline
+// the differential oracle for this file.
 
 #include <algorithm>
 #include <atomic>
@@ -26,21 +26,6 @@ using object::Value;
 using object::ValueKind;
 using util::Result;
 using util::Status;
-
-namespace {
-
-// Mirrors executor_batch.cc's FNV-1a-style combine so parallel-built
-// join tables hash identically to serially built ones.
-constexpr size_t kHashBasis = 0x811c9dc5ULL;
-constexpr size_t kHashPrime = 1099511628211ULL;
-
-size_t BucketCountFor(size_t n) {
-  size_t buckets = 16;
-  while (buckets < 2 * n) buckets <<= 1;
-  return buckets;
-}
-
-}  // namespace
 
 int Executor::ResolveExecThreads() const {
   int t = ctx_->options.exec_threads;
@@ -80,171 +65,17 @@ void Executor::RunOnWorkers(int total, const std::function<void(int)>& fn) {
   cv.wait(lk, [&pending] { return pending == 0; });
 }
 
-Status Executor::BuildColumnarJoinTableParallel(const PlanStep& step,
-                                                ColumnarJoinTable* table,
-                                                Env* env, int workers) {
-  // Resolve the build-side elements on the statement thread (range
-  // expressions may evaluate arbitrary EXCESS; named collections read
-  // the snapshot version, which the statement's pin keeps alive).
-  std::vector<Value> owned;
-  const std::vector<Value>* elems = &owned;
-  if (!step.named_collection.empty()) {
-    const extra::NamedObject* named =
-        ctx_->catalog->FindNamed(step.named_collection);
-    if (named == nullptr) {
-      return Status::NotFound("named collection '" + step.named_collection +
-                              "' disappeared during execution");
-    }
-    const Value& nv = NamedValue(named);
-    if (nv.kind() == ValueKind::kSet) {
-      elems = &nv.set().elems;
-    } else if (nv.kind() == ValueKind::kArray) {
-      elems = &nv.array().elems;
-    }
-  } else {
-    EXODUS_ASSIGN_OR_RETURN(Value coll, Eval(*step.range, env));
-    EXODUS_ASSIGN_OR_RETURN(owned, ElementsOf(coll));
-  }
-
-  const size_t n = elems->size();
-  if (workers <= 1 || n < 2 * batch_cap_) {
-    // Too small to amortize the fan-out — single-threaded build.
-    return BuildColumnarJoinTable(step, table, env);
-  }
-  table->built = true;
-
-  const size_t nkeys = step.build_keys.size();
-  const size_t chunk_size = batch_cap_;
-  const size_t nchunks = (n + chunk_size - 1) / chunk_size;
-
-  // Per-chunk partial tables, concatenated in chunk order below: the
-  // merged entry order equals the serial build order, so chains (built
-  // back-to-front) enumerate identically and probe output order is
-  // unchanged.
-  struct BuildChunk {
-    std::vector<std::vector<Value>> key_cols;
-    std::vector<Value> elements;
-    std::vector<size_t> hashes;
-  };
-  std::vector<BuildChunk> chunks(nchunks);
-  std::vector<Status> chunk_status(nchunks, Status::OK());
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-
-  const int total = std::min<int>(workers, static_cast<int>(nchunks));
-  RunOnWorkers(total, [&](int /*widx*/) {
-    ExecContext wctx = *ctx_;
-    wctx.trace = nullptr;
-    wctx.exec_pool = nullptr;
-    Executor wexec(&wctx);
-    wexec.batch_cap_ = batch_cap_;
-    Env wenv;
-    wenv.stack = env->stack;
-    wenv.params = env->params;
-    const std::vector<std::string> bnames = {step.var_name};
-    while (!failed.load(std::memory_order_relaxed)) {
-      const size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= nchunks) break;
-      const size_t lo = c * chunk_size;
-      const size_t hi = std::min(n, lo + chunk_size);
-      Status st = [&]() -> Status {
-        RowBatch eb;
-        eb.cols.resize(1);
-        eb.cols[0].reserve(hi - lo);
-        for (size_t i = lo; i < hi; ++i) {
-          const Value& e = (*elems)[i];
-          if (e.is_null()) continue;
-          eb.cols[0].push_back(e);
-        }
-        eb.rows = eb.cols[0].size();
-        std::vector<std::vector<Value>> kscratch(nkeys);
-        std::vector<const std::vector<Value>*> kcols(nkeys);
-        for (size_t k = 0; k < nkeys; ++k) {
-          EXODUS_ASSIGN_OR_RETURN(
-              kcols[k], wexec.EvalBatchCol(*step.build_keys[k], bnames, eb,
-                                           &wenv, &kscratch[k]));
-        }
-        BuildChunk& out = chunks[c];
-        out.key_cols.assign(nkeys, {});
-        for (size_t r = 0; r < eb.rows; ++r) {
-          size_t h = kHashBasis;
-          bool usable = true;
-          for (size_t k = 0; k < nkeys; ++k) {
-            const Value& kv = (*kcols[k])[r];
-            if (kv.is_null()) {
-              usable = false;  // NULL keys never join
-              break;
-            }
-            if (kv.kind() == ValueKind::kRef) {
-              return Status::TypeError(
-                  "references cannot be compared with '='; use 'is' / "
-                  "'isnot' (object identity)");
-            }
-            h = h * kHashPrime + JoinKeyHash(kv);
-          }
-          if (!usable) continue;
-          for (size_t k = 0; k < nkeys; ++k) {
-            out.key_cols[k].push_back((*kcols[k])[r]);
-          }
-          out.elements.push_back(eb.cols[0][r]);
-          out.hashes.push_back(h);
-        }
-        return Status::OK();
-      }();
-      if (!st.ok()) {
-        chunk_status[c] = std::move(st);
-        failed.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-  });
-  for (const Status& st : chunk_status) EXODUS_RETURN_IF_ERROR(st);
-
-  size_t total_rows = 0;
-  for (const BuildChunk& c : chunks) total_rows += c.elements.size();
-  table->key_cols.assign(nkeys, {});
-  for (auto& kc : table->key_cols) kc.reserve(total_rows);
-  table->elements.reserve(total_rows);
-  table->hashes.reserve(total_rows);
-  for (BuildChunk& c : chunks) {
-    for (size_t k = 0; k < nkeys; ++k) {
-      for (Value& v : c.key_cols[k]) {
-        table->key_cols[k].push_back(std::move(v));
-      }
-    }
-    for (Value& v : c.elements) table->elements.push_back(std::move(v));
-    table->hashes.insert(table->hashes.end(), c.hashes.begin(),
-                         c.hashes.end());
-  }
-
-  const size_t rows = table->elements.size();
-  const size_t buckets = BucketCountFor(rows);
-  table->bucket_mask = buckets - 1;
-  table->heads.assign(buckets, -1);
-  table->next.assign(rows, -1);
-  for (size_t i = rows; i-- > 0;) {
-    const size_t bidx = table->hashes[i] & table->bucket_mask;
-    table->next[i] = table->heads[bidx];
-    table->heads[bidx] = static_cast<int32_t>(i);
-  }
-  return Status::OK();
-}
-
 Result<bool> Executor::TryRunPlanParallel(
     const Plan& plan, const BoundQuery& query, Env* env,
-    const MorselEmit& emit, std::vector<std::vector<Value>>* out_rows) {
+    const RowEmit& emit, std::vector<std::vector<Value>>* out_rows) {
   const int workers = ResolveExecThreads();
-  if (workers <= 1 || ctx_->exec_pool == nullptr || ctx_->call_depth > 0 ||
-      !ctx_->options.vectorized) {
+  if (workers <= 1 || ctx_->exec_pool == nullptr || ctx_->call_depth > 0) {
     return false;
   }
   if (plan.steps.empty() || plan.steps[0].kind != PlanStep::Kind::kScan) {
     return false;  // only extent scans drive morsels today
   }
-  const int bs = ctx_->options.batch_size;
-  if (bs < 1) return false;  // serial path reports the range error
-  const size_t cap = std::min(static_cast<size_t>(bs),
-                              static_cast<size_t>(SessionOptions::kMaxBatchSize));
+  const size_t cap = batch_cap_;  // validated by RunPlanBatched
 
   const extra::NamedObject* named =
       ctx_->catalog->FindNamed(plan.steps[0].named_collection);
@@ -270,46 +101,18 @@ Result<bool> Executor::TryRunPlanParallel(
     ctx_->activity->morsels_total.store(mcount, std::memory_order_relaxed);
     ctx_->activity->morsels_done.store(0, std::memory_order_relaxed);
   }
-  batch_cap_ = cap;
-  run_stats_.Reset(plan.steps.size());
-  if (bs > SessionOptions::kMaxBatchSize) NoteBatchClamp(bs);
-  probe_scratch_.resize(plan.steps.size());
   const uint64_t t0 = obs::MonotonicNowNs();
-
-  bool short_circuit = false;
-  Status setup = [&]() -> Status {
-    for (const ExprPtr& f : plan.constant_filters) {
-      EXODUS_ASSIGN_OR_RETURN(Value v, Eval(*f, env));
-      EXODUS_ASSIGN_OR_RETURN(bool ok, Truthy(v));
-      if (!ok) {
-        short_circuit = true;
-        return Status::OK();
-      }
-    }
-    return Status::OK();
-  }();
-  if (!setup.ok() || short_circuit) {
-    run_stats_.total_ns = obs::MonotonicNowNs() - t0;
-    FlushOperatorMetrics(plan);
-    if (!setup.ok()) return setup;
-    return true;  // constant filter rejected the statement: zero rows
-  }
 
   // Pipeline breaker 1 — hash joins: build every table eagerly on the
   // statement thread (chunk-parallel for large build sides) so workers
   // share them read-only. The serial path builds lazily on first probe;
   // the only observable difference at threads > 1 is build_rows > 0 for
   // joins whose probe side turns out empty.
-  std::vector<ColumnarJoinTable> tables(plan.steps.size());
+  std::vector<JoinHashTable> tables(plan.steps.size());
   for (size_t s = 0; s < plan.steps.size(); ++s) {
     if (plan.steps[s].kind != PlanStep::Kind::kHashJoin) continue;
-    Status st =
-        BuildColumnarJoinTableParallel(plan.steps[s], &tables[s], env, workers);
-    if (!st.ok()) {
-      run_stats_.total_ns = obs::MonotonicNowNs() - t0;
-      FlushOperatorMetrics(plan);
-      return st;
-    }
+    EXODUS_RETURN_IF_ERROR(
+        BuildJoinHashTable(plan.steps[s], &tables[s], env, workers));
     run_stats_.steps[s].build_rows = tables[s].elements.size();
   }
 
@@ -432,7 +235,6 @@ Result<bool> Executor::TryRunPlanParallel(
       if (src.invocations > 0) ++dst.workers;
     }
   }
-  run_stats_.total_ns = obs::MonotonicNowNs() - t0;
   if (ctx_->op_metrics != nullptr) {
     if (ctx_->op_metrics->morsels_total != nullptr) {
       ctx_->op_metrics->morsels_total->Add(mcount);
@@ -441,10 +243,9 @@ Result<bool> Executor::TryRunPlanParallel(
       ctx_->op_metrics->parallel_queries->Add(1);
     }
     if (ctx_->op_metrics->parallel_ns != nullptr) {
-      ctx_->op_metrics->parallel_ns->Add(run_stats_.total_ns);
+      ctx_->op_metrics->parallel_ns->Add(obs::MonotonicNowNs() - t0);
     }
   }
-  FlushOperatorMetrics(plan);
   if (first_err_morsel != static_cast<size_t>(-1)) return first_err;
 
   // Order-stable concatenation: morsel buffers in morsel order equal

@@ -46,7 +46,7 @@ bool IsVarAttr(const Expr& e, const std::string& var_name, std::string* attr) {
 }  // namespace
 
 Optimizer::Optimizer(extra::Catalog* catalog, index::IndexManager* indexes,
-                     const Binder* binder, OptimizerOptions options)
+                     const Binder* binder, SessionOptions options)
     : catalog_(catalog), indexes_(indexes), binder_(binder),
       options_(options) {}
 

@@ -13,15 +13,11 @@
 
 namespace exodus::excess {
 
-/// Deprecated alias: the optimizer's ablation switches
-/// (predicate_pushdown / join_reordering / use_indexes / hash_join, all
-/// on by default — EXPERIMENTS.md B11) now live in SessionOptions
-/// alongside the executor and concurrency knobs. Existing code naming
-/// OptimizerOptions keeps compiling.
-using OptimizerOptions = SessionOptions;
-
 /// Rule-driven plan construction, this reproduction's stand-in for an
-/// optimizer built with the EXODUS optimizer generator [Grae87]:
+/// optimizer built with the EXODUS optimizer generator [Grae87]. Its
+/// ablation switches (predicate_pushdown / join_reordering / use_indexes
+/// / hash_join, all on by default — EXPERIMENTS.md B11) live in
+/// SessionOptions:
 ///
 ///  - predicate pushdown: each where-conjunct is attached to the earliest
 ///    loop level at which all of its variables are bound;
@@ -33,7 +29,7 @@ using OptimizerOptions = SessionOptions;
 class Optimizer {
  public:
   Optimizer(extra::Catalog* catalog, index::IndexManager* indexes,
-            const Binder* binder, OptimizerOptions options = {});
+            const Binder* binder, SessionOptions options = {});
 
   /// Builds an executable plan for the bound query.
   util::Result<Plan> Optimize(const BoundQuery& query) const;
@@ -52,7 +48,7 @@ class Optimizer {
   extra::Catalog* catalog_;
   index::IndexManager* indexes_;
   const Binder* binder_;
-  OptimizerOptions options_;
+  SessionOptions options_;
 };
 
 }  // namespace exodus::excess

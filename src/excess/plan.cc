@@ -74,8 +74,7 @@ std::string Plan::Explain(const PlanRuntime* runtime) const {
         ann += " build=" + std::to_string(rt.build_rows) +
                " hits=" + std::to_string(rt.probe_hits);
       }
-      // Only the batch pipeline counts batches; the row-at-a-time path
-      // keeps the pre-refactor annotation format.
+      // Steps that never received a batch print no batch count.
       if (rt.batches > 0) {
         ann += " batches=" + std::to_string(rt.batches);
       }

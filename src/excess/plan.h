@@ -11,7 +11,7 @@
 
 namespace exodus::excess {
 
-/// The unit of data flow in the batch (vectorized) executor: a window of
+/// The unit of data flow in the batch executor: a window of
 /// binding rows in columnar layout. cols[k] holds the values bound to
 /// the k-th plan step's variable, one entry per row, so per-expression
 /// work runs as tight loops over flat Value arrays instead of
@@ -72,12 +72,12 @@ struct PlanStep {
 };
 
 /// Runtime actuals of one plan step during one execution. Row counters
-/// are exact; wall time is sampled (every invocation while the step has
-/// been entered fewer than kTimingSampleEvery times, then one in
+/// are exact; wall time is sampled (every batch while the step has
+/// expanded fewer than kTimingSampleEvery batches, then one in
 /// kTimingSampleEvery) and extrapolated, keeping the always-on
 /// instrumentation cost to a few clock reads per thousand rows.
 struct StepRuntime {
-  /// One-in-N invocation timing sample rate (power of two).
+  /// One-in-N batch timing sample rate (power of two).
   static constexpr uint64_t kTimingSampleEvery = 64;
 
   /// Times the step was entered (= surviving rows of the outer steps;
@@ -93,9 +93,8 @@ struct StepRuntime {
   uint64_t build_rows = 0;
   /// kHashJoin: probe matches confirmed by key equality.
   uint64_t probe_hits = 0;
-  /// Batch pipeline only: RowBatch windows this step expanded. Each
-  /// batch accounts for `rows` invocations at once, so `invocations`
-  /// stays comparable with the row-at-a-time path.
+  /// RowBatch windows this step expanded. Each batch accounts for
+  /// `rows` invocations at once, so `invocations` counts parent rows.
   uint64_t batches = 0;
   /// Sampled inclusive wall time (this step plus everything nested
   /// under it) and the number of invocations that were actually timed.
@@ -106,18 +105,11 @@ struct StepRuntime {
   /// byte-identical to the pre-parallel format).
   uint64_t workers = 0;
 
-  /// True when this invocation should be timed (call before
-  /// incrementing nothing else; uses the current invocation count).
-  bool ShouldTime() const {
-    return invocations <= kTimingSampleEvery ||
-           (invocations & (kTimingSampleEvery - 1)) == 0;
-  }
-
-  /// Batch-pipeline analogue of ShouldTime: samples *batches* (first 64,
+  /// True when this batch should be timed: samples *batches* (first 64,
   /// then one in 64). Timed batches add their row count to
   /// `timed_invocations`, so EstimatedTimeNs' extrapolation
   /// (sampled_ns * invocations / timed_invocations) rescales per-batch
-  /// samples to the same per-row basis as the row-at-a-time path.
+  /// samples to all invocations.
   bool ShouldTimeBatch() const {
     return batches <= kTimingSampleEvery ||
            (batches & (kTimingSampleEvery - 1)) == 0;
@@ -146,7 +138,7 @@ struct PlanRuntime {
   /// workers that claimed at least one (both 0 on the serial path).
   uint64_t morsels = 0;
   uint64_t parallel_workers = 0;
-  /// When ExecOptions::batch_size exceeded kMaxBatchSize, the value the
+  /// When SessionOptions::batch_size exceeded kMaxBatchSize, the value the
   /// caller asked for (0 = no clamp). Surfaces the silent clamp in
   /// `\explain analyze`.
   int clamped_batch_size = 0;

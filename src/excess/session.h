@@ -99,19 +99,12 @@ class Session {
   Database* database() { return db_; }
 
   /// This session's execution options: optimizer rule switches,
-  /// executor knobs (vectorized execution, batch size) and the write
+  /// executor knobs (batch size, worker threads) and the write
   /// isolation mode. One value object, one contributor to the
-  /// plan-cache key; seeded from the environment (EXODUS_VECTORIZED,
-  /// EXODUS_BATCH_SIZE, EXODUS_ISOLATION) at session creation.
+  /// plan-cache key; seeded from the environment (EXODUS_BATCH_SIZE,
+  /// EXODUS_EXEC_THREADS, EXODUS_ISOLATION) at session creation.
   excess::SessionOptions* mutable_options() { return &ctx_.options; }
   const excess::SessionOptions& options() const { return ctx_.options; }
-
-  /// Deprecated aliases from when optimizer and executor switches were
-  /// separate structs; both now name the one SessionOptions object.
-  excess::OptimizerOptions* mutable_optimizer_options() {
-    return &ctx_.options;
-  }
-  excess::ExecOptions* mutable_exec_options() { return &ctx_.options; }
 
   /// Marks this session as the replication-apply channel: its mutations
   /// bypass the database's read-only (replica) gate. Only the WAL

@@ -24,12 +24,10 @@ enum class IsolationMode {
 };
 
 /// All per-session execution knobs in one value object: optimizer rule
-/// switches, executor (batch) knobs and the concurrency mode. One
-/// struct — seeded from the environment in one place (FromEnv),
-/// validated in one place (Validate) and fingerprinted into
-/// Session::CacheKey in one place (Fingerprint) — replaces the former
-/// OptimizerOptions / ExecOptions pair; those names survive as thin
-/// deprecated aliases.
+/// switches, executor (batch) knobs and the concurrency mode — seeded
+/// from the environment in one place (FromEnv), validated in one place
+/// (Validate) and fingerprinted into Session::CacheKey in one place
+/// (Fingerprint).
 struct SessionOptions {
   static constexpr int kDefaultBatchSize = 1024;
   /// Upper bound on rows per batch; larger requests are clamped so a
@@ -49,9 +47,6 @@ struct SessionOptions {
   bool hash_join = true;
 
   // --- executor knobs ---
-  /// Batch-at-a-time (vectorized) plan execution. Off falls back to the
-  /// row-at-a-time interpreter — the differential oracle.
-  bool vectorized = true;
   /// Rows per RowBatch. Values < 1 are rejected at execution time;
   /// values above kMaxBatchSize are clamped (the clamp is surfaced in
   /// `\explain` output and logged once per process).
@@ -72,8 +67,7 @@ struct SessionOptions {
   /// database journals (Database::EnableJournal).
   wal::Durability durability = wal::Durability::kGroup;
 
-  /// Reads EXODUS_VECTORIZED (0/1), EXODUS_BATCH_SIZE,
-  /// EXODUS_EXEC_THREADS, EXODUS_ISOLATION (locked/snapshot) and
+  /// Reads EXODUS_BATCH_SIZE, EXODUS_EXEC_THREADS, EXODUS_ISOLATION (locked/snapshot) and
   /// EXODUS_DURABILITY (sync/group/async). A non-numeric
   /// EXODUS_BATCH_SIZE / EXODUS_EXEC_THREADS is ignored; numeric
   /// values are taken verbatim (including invalid ones, which
@@ -81,9 +75,6 @@ struct SessionOptions {
   /// correcting).
   static SessionOptions FromEnv() {
     SessionOptions o;
-    if (const char* v = std::getenv("EXODUS_VECTORIZED")) {
-      o.vectorized = !(v[0] == '0' && v[1] == '\0');
-    }
     if (const char* b = std::getenv("EXODUS_BATCH_SIZE")) {
       char* end = nullptr;
       long n = std::strtol(b, &end, 10);
@@ -105,17 +96,16 @@ struct SessionOptions {
     return o;
   }
 
-  /// The one validity rule options carry today, checked at execution
-  /// time so a bad `set batchsize` fails the statement, not the setter.
+  /// The validity rules options carry, checked when a plan runs so a
+  /// bad `set batchsize` fails the statement, not the setter.
   util::Status Validate() const {
-    if (vectorized && batch_size < 1) {
-      return util::Status::OutOfRange(
-          "ExecOptions::batch_size must be >= 1 (got " +
-          std::to_string(batch_size) + ")");
+    if (batch_size < 1) {
+      return util::Status::OutOfRange("batch_size must be >= 1 (got " +
+                                      std::to_string(batch_size) + ")");
     }
     if (exec_threads < 0) {
       return util::Status::OutOfRange(
-          "ExecOptions::exec_threads must be >= 0 (got " +
+          "exec_threads must be >= 0 (got " +
           std::to_string(exec_threads) + ")");
     }
     return util::Status::OK();
@@ -130,7 +120,6 @@ struct SessionOptions {
                                   (join_reordering ? 2 : 0) |
                                   (use_indexes ? 4 : 0) |
                                   (hash_join ? 8 : 0)));
-    f += vectorized ? 'v' : 'r';
     f += ':';
     f += std::to_string(batch_size);
     f += isolation == IsolationMode::kSnapshot ? ":s" : ":l";

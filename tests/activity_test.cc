@@ -128,9 +128,8 @@ TEST(ActivityTest, MorselProgressIsPublished) {
   }
   auto session = db.CreateSession();
   ASSERT_TRUE(session.ok());
-  (*session)->mutable_exec_options()->vectorized = true;
-  (*session)->mutable_exec_options()->batch_size = 16;  // ~7 morsels
-  (*session)->mutable_exec_options()->exec_threads = 4;
+  (*session)->mutable_options()->batch_size = 16;  // ~7 morsels
+  (*session)->mutable_options()->exec_threads = 4;
   auto r = (*session)->Execute("retrieve (R.k) from R in Rows");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 100u);

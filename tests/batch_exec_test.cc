@@ -1,10 +1,11 @@
-// Batch-boundary differential tests for vectorized execution: every
-// query runs through the row-at-a-time interpreter (ExecOptions::
-// vectorized = false, the oracle) and through the batch pipeline at
-// batch sizes {1, 2, 1024, 4096} plus sizes chosen to land exactly on
-// and one past a batch boundary; rendered result rows must agree
-// exactly. Also covers ExecOptions env seeding, batch_size validation,
-// and plan-cache separation between executor option settings.
+// Differential tests for the execution engine: every query runs
+// through the naive reference evaluator (tests/reference_eval.h, the
+// oracle: nested loops over the bound range variables, no plan) and
+// through the batch pipeline at batch sizes {1, 2, 1024, 4096} plus
+// sizes chosen to land exactly on and one past a batch boundary;
+// rendered result rows must agree exactly. Also covers SessionOptions
+// env seeding, batch_size validation, and plan-cache separation between
+// executor option settings.
 
 #include <gtest/gtest.h>
 
@@ -16,23 +17,24 @@
 #include <vector>
 
 #include "excess/database.h"
-#include "excess/exec_options.h"
 #include "excess/session.h"
+#include "excess/session_options.h"
+#include "reference_eval.h"
 #include "util/status.h"
 
 namespace exodus {
 namespace {
 
-using excess::ExecOptions;
-using excess::QueryResult;
+using excess::SessionOptions;
 using util::StatusCode;
 
-// Renders result rows and sorts them (joins and scans are unordered
-// across executors only when the query itself imposes no order, so
-// callers pass sorted = false for `sort by` queries).
-std::vector<std::string> Render(const QueryResult& r, bool sorted = true) {
+// Renders result rows and sorts them (row order is unspecified unless
+// the query imposes one, so callers pass sorted = false for `sort by`
+// queries).
+std::vector<std::string> Render(
+    const std::vector<std::vector<object::Value>>& rows, bool sorted = true) {
   std::vector<std::string> out;
-  for (const auto& row : r.rows) {
+  for (const auto& row : rows) {
     std::string line;
     for (const auto& v : row) line += v.ToString() + "|";
     out.push_back(std::move(line));
@@ -49,11 +51,12 @@ class BatchExecTest : public ::testing::Test {
       define type Kid (name: char[20], allowance: float8)
       define type Employee (
         id: int4, name: char[25], salary: float8, dept_id: int4,
-        dept: ref Department, kids: {own ref Kid}
+        dept: ref Department, kids: {own ref Kid}, scores: [4] int4
       )
       create Departments : {Department}
       create Employees : {Employee}
       create Empty : {Employee}
+      create Slots : [60] int4
     )");
     for (int d = 0; d < 5; ++d) {
       std::ostringstream q;
@@ -80,12 +83,21 @@ class BatchExecTest : public ::testing::Test {
         }
         q << "}";
       }
+      if (i % 4 != 0) {
+        // Fixed arrays are null-filled: the holes must bind nothing.
+        q << ", scores = [" << i << ", null, " << i % 9 << ", null]";
+      }
       if (dept < 5) {
         q << ", dept = D) from D in Departments where D.id = " << dept;
       } else {
         q << ")";
       }
       Must(q.str());
+    }
+    // Every third slot set; the rest are array holes.
+    for (int i = 1; i <= 60; i += 3) {
+      Must("assign Slots[" + std::to_string(i) + "] = " +
+           std::to_string(i % 7));
     }
   }
 
@@ -94,27 +106,35 @@ class BatchExecTest : public ::testing::Test {
     ASSERT_TRUE(r.ok()) << q << "\n -> " << r.status().ToString();
   }
 
-  // Runs `q` in a fresh session with the given executor options and
-  // returns the rendered rows.
-  std::vector<std::string> Rows(const std::string& q, bool vectorized,
-                                int batch_size, bool sorted = true) {
+  // Runs `q` in a fresh session at the given batch size and returns
+  // the rendered rows.
+  std::vector<std::string> Rows(const std::string& q, int batch_size,
+                                bool sorted = true) {
     auto session = db_.CreateSession();
     EXPECT_TRUE(session.ok()) << session.status().ToString();
-    (*session)->mutable_exec_options()->vectorized = vectorized;
-    (*session)->mutable_exec_options()->batch_size = batch_size;
+    (*session)->mutable_options()->batch_size = batch_size;
     auto r = (*session)->Execute(q);
     EXPECT_TRUE(r.ok()) << q << "\n -> " << r.status().ToString();
     if (!r.ok()) return {};
-    return Render(*r, sorted);
+    return Render(r->rows, sorted);
+  }
+
+  // The reference evaluator's rendered rows for `q`.
+  std::vector<std::string> Oracle(const std::string& q, bool sorted = true) {
+    reference::ReferenceEvaluator ref(&db_);
+    auto rows = ref.Retrieve(q);
+    EXPECT_TRUE(rows.ok()) << q << "\n -> " << rows.status().ToString();
+    if (!rows.ok()) return {};
+    return Render(*rows, sorted);
   }
 
   // Asserts batch execution at sizes {1, 2, 49, 50, 51, 1024, 4096}
-  // matches the row-at-a-time oracle. 50 rows in Employees makes 50 an
+  // matches the reference evaluator. 50 rows in Employees makes 50 an
   // exactly-one-batch size and 49 a boundary-straddling one.
   void ExpectParity(const std::string& q, bool sorted = true) {
-    std::vector<std::string> oracle = Rows(q, false, 1024, sorted);
+    std::vector<std::string> oracle = Oracle(q, sorted);
     for (int bs : {1, 2, 49, 50, 51, 1024, 4096}) {
-      EXPECT_EQ(Rows(q, true, bs, sorted), oracle)
+      EXPECT_EQ(Rows(q, bs, sorted), oracle)
           << q << "\n at batch_size=" << bs;
     }
   }
@@ -162,6 +182,37 @@ TEST_F(BatchExecTest, UnnestParity) {
       "where K.allowance > 0.5 and E.id > 10");
 }
 
+TEST_F(BatchExecTest, ArrayHolesParity) {
+  // Unnest over a fixed array attribute and a scan of a named array
+  // extent: null slots bind no variable.
+  ExpectParity(
+      "retrieve (E.id, V) from E in Employees, V in E.scores");
+  ExpectParity(
+      "retrieve (E.id, V) from E in Employees, V in E.scores where V > 3");
+  ExpectParity("retrieve (V) from V in Slots");
+  ExpectParity(
+      "retrieve (V, D.name) from V in Slots, D in Departments "
+      "where D.id = V");
+  ExpectParity("retrieve (count(V), sum(V)) from V in Slots");
+}
+
+TEST_F(BatchExecTest, IndexScanParity) {
+  Must("create index DeptIdIdx on Employees (dept_id) using btree");
+  const std::string eq =
+      "retrieve (E.id, E.name) from E in Employees where E.dept_id = 3";
+  auto session = db_.CreateSession();
+  ASSERT_TRUE(session.ok());
+  auto plan = (*session)->Explain(eq, /*analyze=*/false);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
+  ExpectParity(eq);
+  ExpectParity(
+      "retrieve (E.id, E.salary) from E in Employees where E.dept_id < 2");
+  ExpectParity(
+      "retrieve (E.name, D.name) from D in Departments, E in Employees "
+      "where E.dept_id = D.id and D.floor = 1");
+}
+
 TEST_F(BatchExecTest, RefDereferenceParity) {
   ExpectParity(
       "retrieve (E.name, E.dept.name) from E in Employees "
@@ -175,6 +226,12 @@ TEST_F(BatchExecTest, AggregateParity) {
       "avg(E.salary over E.dept_id)) from E in Employees");
   ExpectParity(
       "retrieve (E.name, count(K from K in E.kids)) from E in Employees");
+  ExpectParity(
+      "retrieve unique (E.dept_id, min(E.salary over E.dept_id), "
+      "max(E.name over E.dept_id)) from E in Employees");
+  ExpectParity(
+      "retrieve (count(unique E.dept_id), max(E.salary), min(E.id)) "
+      "from E in Employees where E.salary > 20.0");
 }
 
 TEST_F(BatchExecTest, SortAndUniqueParity) {
@@ -211,7 +268,7 @@ TEST_F(BatchExecTest, BatchSizeBelowOneIsRejected) {
   for (int bad : {0, -1, -1024}) {
     auto session = db_.CreateSession();
     ASSERT_TRUE(session.ok());
-    (*session)->mutable_exec_options()->batch_size = bad;
+    (*session)->mutable_options()->batch_size = bad;
     auto r = (*session)->Execute("retrieve (E.id) from E in Employees");
     ASSERT_FALSE(r.ok()) << "batch_size=" << bad << " was accepted";
     EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
@@ -222,43 +279,37 @@ TEST_F(BatchExecTest, BatchSizeBelowOneIsRejected) {
 
 TEST_F(BatchExecTest, OversizeBatchSizeIsClamped) {
   // Values above kMaxBatchSize execute (clamped), and match the oracle.
-  EXPECT_EQ(Rows("retrieve (E.id) from E in Employees", true, 1 << 20),
-            Rows("retrieve (E.id) from E in Employees", false, 1024));
+  EXPECT_EQ(Rows("retrieve (E.id) from E in Employees", 1 << 20),
+            Oracle("retrieve (E.id) from E in Employees"));
 }
 
-TEST_F(BatchExecTest, ExecOptionsFromEnv) {
-  setenv("EXODUS_VECTORIZED", "0", 1);
+TEST_F(BatchExecTest, SessionOptionsFromEnv) {
   setenv("EXODUS_BATCH_SIZE", "77", 1);
-  ExecOptions o = ExecOptions::FromEnv();
-  EXPECT_FALSE(o.vectorized);
+  SessionOptions o = SessionOptions::FromEnv();
   EXPECT_EQ(o.batch_size, 77);
 
-  setenv("EXODUS_VECTORIZED", "1", 1);
   setenv("EXODUS_BATCH_SIZE", "not-a-number", 1);
-  o = ExecOptions::FromEnv();
-  EXPECT_TRUE(o.vectorized);
-  EXPECT_EQ(o.batch_size, ExecOptions::kDefaultBatchSize);
+  o = SessionOptions::FromEnv();
+  EXPECT_EQ(o.batch_size, SessionOptions::kDefaultBatchSize);
 
   // Invalid numeric values survive FromEnv verbatim so execution can
   // reject them loudly instead of silently correcting.
   setenv("EXODUS_BATCH_SIZE", "0", 1);
-  EXPECT_EQ(ExecOptions::FromEnv().batch_size, 0);
+  EXPECT_EQ(SessionOptions::FromEnv().batch_size, 0);
 
-  unsetenv("EXODUS_VECTORIZED");
   unsetenv("EXODUS_BATCH_SIZE");
-  o = ExecOptions::FromEnv();
-  EXPECT_TRUE(o.vectorized);
-  EXPECT_EQ(o.batch_size, ExecOptions::kDefaultBatchSize);
+  o = SessionOptions::FromEnv();
+  EXPECT_EQ(o.batch_size, SessionOptions::kDefaultBatchSize);
 
   // A fresh session picks its options up from the environment.
   setenv("EXODUS_BATCH_SIZE", "33", 1);
   auto session = db_.CreateSession();
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ((*session)->mutable_exec_options()->batch_size, 33);
+  EXPECT_EQ((*session)->mutable_options()->batch_size, 33);
   unsetenv("EXODUS_BATCH_SIZE");
 }
 
-TEST_F(BatchExecTest, ExecOptionsSeparatePlanCacheEntries) {
+TEST_F(BatchExecTest, BatchSizesSeparatePlanCacheEntries) {
   // The same statement executed under different executor options must
   // not share cached state: run interleaved and expect each setting to
   // keep producing correct results (a shared entry would surface as a
@@ -267,24 +318,24 @@ TEST_F(BatchExecTest, ExecOptionsSeparatePlanCacheEntries) {
   auto a = db_.CreateSession();
   auto b = db_.CreateSession();
   ASSERT_TRUE(a.ok() && b.ok());
-  (*a)->mutable_exec_options()->vectorized = true;
-  (*a)->mutable_exec_options()->batch_size = 2;
-  (*b)->mutable_exec_options()->vectorized = false;
-  std::vector<std::string> want;
-  for (int i = 0; i < 5; ++i) want.push_back("int(" + std::to_string(i) + ")|");
+  (*a)->mutable_options()->batch_size = 2;
+  (*b)->mutable_options()->batch_size = 4096;
+  const std::vector<std::string> want = Oracle(q);
+  ASSERT_EQ(want.size(), 5u);
   for (int round = 0; round < 3; ++round) {
     auto ra = (*a)->Execute(q);
     auto rb = (*b)->Execute(q);
     ASSERT_TRUE(ra.ok() && rb.ok());
-    EXPECT_EQ(Render(*ra), Render(*rb));
+    EXPECT_EQ(Render(ra->rows), want);
+    EXPECT_EQ(Render(rb->rows), want);
   }
   // Within one session, retuning batch_size mid-stream stays correct
   // (each setting maps to its own cache key).
   for (int bs : {1, 3, 4096, 1}) {
-    (*a)->mutable_exec_options()->batch_size = bs;
+    (*a)->mutable_options()->batch_size = bs;
     auto r = (*a)->Execute(q);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(Render(*r).size(), 5u) << "batch_size=" << bs;
+    EXPECT_EQ(Render(r->rows), want) << "batch_size=" << bs;
   }
 }
 

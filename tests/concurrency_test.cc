@@ -261,6 +261,12 @@ TEST_F(ConcurrencyTest, ReaderUnderSustainedWriterSeesConsistentSnapshots) {
   std::atomic<int> failures{0};
   std::atomic<bool> writer_done{false};
 
+  // The fixture seeds three different salaries; equalize them first so
+  // a reader that runs before the writer's first replace commits also
+  // sees one generation, and every-row-equal stays a strict check.
+  auto seed = db_.Execute("replace E (salary = 0.0) from E in Employees");
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+
   const uint64_t snap_before =
       db_.concurrency()->snapshot_writes.load(std::memory_order_relaxed);
   const uint64_t locked_before =

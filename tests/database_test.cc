@@ -103,7 +103,7 @@ TEST_F(DatabaseTest, LastPlanReflectsMostRecentStatement) {
             std::string::npos);
 }
 
-TEST_F(DatabaseTest, OptimizerOptionsTakeEffect) {
+TEST_F(DatabaseTest, OptimizerSwitchesTakeEffect) {
   ASSERT_TRUE(
       db_.Execute("create index SalIdx on Employees (salary) using btree")
           .ok());
@@ -113,13 +113,13 @@ TEST_F(DatabaseTest, OptimizerOptionsTakeEffect) {
           .ok());
   EXPECT_NE(db_.last_plan().find("IndexScan"), std::string::npos);
 
-  db_.mutable_optimizer_options()->use_indexes = false;
+  db_.mutable_options()->use_indexes = false;
   ASSERT_TRUE(
       db_.Execute("retrieve (E.name) from E in Employees "
                   "where E.salary = 10.5")
           .ok());
   EXPECT_EQ(db_.last_plan().find("IndexScan"), std::string::npos);
-  db_.mutable_optimizer_options()->use_indexes = true;
+  db_.mutable_options()->use_indexes = true;
 }
 
 TEST_F(DatabaseTest, CurrentUserTracksSetUser) {

@@ -1,7 +1,7 @@
 // Hash-based execution: kHashJoin correctness against the nested-loop
 // path (same rows, '='-semantics keys — NULLs never join, int/float
 // compare numerically, enum<->string by label), per-session ablation
-// through OptimizerOptions::hash_join, and hash aggregation including
+// through SessionOptions::hash_join, and hash aggregation including
 // `unique`-qualified aggregates over many groups.
 
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ class HashJoinTest : public ::testing::Test {
   std::vector<std::string> Rows(const std::string& q, bool hash_join) {
     auto session = db_.CreateSession();
     EXPECT_TRUE(session.ok()) << session.status().ToString();
-    (*session)->mutable_optimizer_options()->hash_join = hash_join;
+    (*session)->mutable_options()->hash_join = hash_join;
     auto r = (*session)->Execute(q);
     EXPECT_TRUE(r.ok()) << q << "\n -> " << r.status().ToString();
     std::vector<std::string> out;
@@ -66,7 +66,7 @@ class HashJoinTest : public ::testing::Test {
   std::string PlanText(const std::string& q, bool hash_join) {
     auto session = db_.CreateSession();
     EXPECT_TRUE(session.ok()) << session.status().ToString();
-    (*session)->mutable_optimizer_options()->hash_join = hash_join;
+    (*session)->mutable_options()->hash_join = hash_join;
     auto stmt = (*session)->Prepare(q);
     EXPECT_TRUE(stmt.ok()) << q << "\n -> " << stmt.status().ToString();
     return stmt.ok() ? (*stmt)->plan_text() : "";

@@ -180,7 +180,7 @@ TEST_F(OptimizerTest, AblationPushdownOff) {
   auto q = binder.Bind(**stmt);
   ASSERT_TRUE(q.ok());
 
-  OptimizerOptions off;
+  SessionOptions off;
   off.predicate_pushdown = false;
   off.use_indexes = false;
   Optimizer opt(db_.catalog(), db_.indexes(), &binder, off);
@@ -207,7 +207,7 @@ TEST_F(OptimizerTest, AblationReorderingOff) {
   auto q = binder.Bind(**stmt);
   ASSERT_TRUE(q.ok());
 
-  OptimizerOptions off;
+  SessionOptions off;
   off.join_reordering = false;
   Optimizer opt(db_.catalog(), db_.indexes(), &binder, off);
   auto plan = opt.Optimize(*q);
@@ -247,7 +247,7 @@ TEST_F(OptimizerTest, HashJoinOffRestoresNestedLoop) {
   auto q = binder.Bind(**stmt);
   ASSERT_TRUE(q.ok());
 
-  OptimizerOptions off;
+  SessionOptions off;
   off.hash_join = false;
   Optimizer opt(db_.catalog(), db_.indexes(), &binder, off);
   auto plan = opt.Optimize(*q);

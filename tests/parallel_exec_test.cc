@@ -90,9 +90,8 @@ class ParallelExecTest : public ::testing::Test {
                                 int batch_size, bool sorted = true) {
     auto session = db_.CreateSession();
     EXPECT_TRUE(session.ok()) << session.status().ToString();
-    (*session)->mutable_exec_options()->vectorized = true;
-    (*session)->mutable_exec_options()->batch_size = batch_size;
-    (*session)->mutable_exec_options()->exec_threads = threads;
+    (*session)->mutable_options()->batch_size = batch_size;
+    (*session)->mutable_options()->exec_threads = threads;
     auto r = (*session)->Execute(q);
     EXPECT_TRUE(r.ok()) << q << "\n -> " << r.status().ToString();
     if (!r.ok()) return {};
@@ -217,8 +216,8 @@ TEST_F(ParallelExecTest, RandomQueryParity) {
 TEST_F(ParallelExecTest, ExplainAnalyzeParallelAnnotations) {
   auto session = db_.CreateSession();
   ASSERT_TRUE(session.ok());
-  (*session)->mutable_exec_options()->batch_size = 32;
-  (*session)->mutable_exec_options()->exec_threads = 4;
+  (*session)->mutable_options()->batch_size = 32;
+  (*session)->mutable_options()->exec_threads = 4;
   auto text = (*session)->Explain(
       "retrieve (E.name, D.name) from E in Employees, D in Departments "
       "where D.id = E.dept_id",
@@ -232,8 +231,8 @@ TEST_F(ParallelExecTest, ExplainAnalyzeParallelAnnotations) {
   // The serial oracle's explain output carries no parallel annotations.
   auto serial_session = db_.CreateSession();
   ASSERT_TRUE(serial_session.ok());
-  (*serial_session)->mutable_exec_options()->batch_size = 32;
-  (*serial_session)->mutable_exec_options()->exec_threads = 1;
+  (*serial_session)->mutable_options()->batch_size = 32;
+  (*serial_session)->mutable_options()->exec_threads = 1;
   auto serial = (*serial_session)->Explain(
       "retrieve (E.name, D.name) from E in Employees, D in Departments "
       "where D.id = E.dept_id",
@@ -246,7 +245,7 @@ TEST_F(ParallelExecTest, ExplainAnalyzeParallelAnnotations) {
 TEST_F(ParallelExecTest, ExplainAnalyzeAnnotatesBatchSizeClamp) {
   auto session = db_.CreateSession();
   ASSERT_TRUE(session.ok());
-  (*session)->mutable_exec_options()->batch_size = 1 << 20;
+  (*session)->mutable_options()->batch_size = 1 << 20;
   auto text = (*session)->Explain("retrieve (E.id) from E in Employees",
                                   /*analyze=*/true);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
@@ -257,7 +256,7 @@ TEST_F(ParallelExecTest, ExplainAnalyzeAnnotatesBatchSizeClamp) {
   // In-range batch sizes carry no clamp note.
   auto clean_session = db_.CreateSession();
   ASSERT_TRUE(clean_session.ok());
-  (*clean_session)->mutable_exec_options()->batch_size = 64;
+  (*clean_session)->mutable_options()->batch_size = 64;
   auto clean = (*clean_session)->Explain("retrieve (E.id) from E in Employees",
                                          /*analyze=*/true);
   ASSERT_TRUE(clean.ok());
@@ -307,7 +306,7 @@ TEST_F(ParallelExecTest, ExecThreadsFromEnvAndFingerprint) {
 TEST_F(ParallelExecTest, NegativeExecThreadsIsRejected) {
   auto session = db_.CreateSession();
   ASSERT_TRUE(session.ok());
-  (*session)->mutable_exec_options()->exec_threads = -2;
+  (*session)->mutable_options()->exec_threads = -2;
   auto r = (*session)->Execute("retrieve (E.id) from E in Employees");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
@@ -333,8 +332,8 @@ TEST_F(ParallelExecTest, ParallelReadersRaceDdlAndWriters) {
         ++failures;
         return;
       }
-      (*session)->mutable_exec_options()->exec_threads = 4;
-      (*session)->mutable_exec_options()->batch_size = 16;
+      (*session)->mutable_options()->exec_threads = 4;
+      (*session)->mutable_options()->batch_size = 16;
       for (int i = 0; i < 40 && !stop.load(); ++i) {
         auto r = (*session)->Execute(
             "retrieve (E.name, D.name, count(F over F.dept_id)) "

@@ -111,10 +111,10 @@ TEST_F(PreparedStatementTest, RePrepareHitsThePlanCache) {
   EXPECT_EQ(after.misses, mid.misses);
 }
 
-TEST_F(PreparedStatementTest, OptimizerOptionsAreNotSharedThroughTheCache) {
+TEST_F(PreparedStatementTest, OptimizerSwitchesAreNotSharedThroughTheCache) {
   // The plan cache is shared across sessions; a session that disables
   // an optimizer rule must not be served a plan built with it on (or
-  // vice versa). Regression: CacheKey once ignored OptimizerOptions.
+  // vice versa). Regression: CacheKey once ignored the optimizer switches.
   const std::string query =
       "retrieve (E.name, F.name) from E in Employees, F in Employees "
       "where F.age = E.age";
@@ -136,14 +136,14 @@ TEST_F(PreparedStatementTest, OptimizerOptionsAreNotSharedThroughTheCache) {
 
   auto without_hash = db_.CreateSession();
   ASSERT_TRUE(without_hash.ok());
-  (*without_hash)->mutable_optimizer_options()->hash_join = false;
+  (*without_hash)->mutable_options()->hash_join = false;
   auto s3 = (*without_hash)->Prepare(query);
   ASSERT_TRUE(s3.ok());
   EXPECT_EQ((*s3)->plan_text().find("HashJoin"), std::string::npos);
 
   auto no_indexes = db_.CreateSession();
   ASSERT_TRUE(no_indexes.ok());
-  (*no_indexes)->mutable_optimizer_options()->use_indexes = false;
+  (*no_indexes)->mutable_options()->use_indexes = false;
   ASSERT_TRUE(db_.Execute("create index AgeIdx on Employees (age) using btree")
                   .ok());
   auto s4 = (*no_indexes)->Prepare(query);

@@ -224,7 +224,7 @@ TEST_P(QueryPropertyTest, HashJoinAndNestedLoopAgree) {
   ASSERT_TRUE(with_hash.ok());
   auto without_hash = db_.CreateSession();
   ASSERT_TRUE(without_hash.ok());
-  (*without_hash)->mutable_optimizer_options()->hash_join = false;
+  (*without_hash)->mutable_options()->hash_join = false;
 
   const char* join_attrs[] = {"age", "name", "salary"};
   for (int trial = 0; trial < 15; ++trial) {
