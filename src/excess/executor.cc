@@ -1,7 +1,6 @@
 #include "excess/executor.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "excess/concurrency.h"
 #include "excess/executor_internal.h"
@@ -20,28 +19,17 @@ using util::Status;
 
 namespace {
 
-/// Hash/equality over output rows for `unique` (pointer-keyed into the
-/// deduped vector to avoid copying rows). Consistent with ValueEquals,
-/// so int/float values that compare equal count as duplicates.
-struct RowHash {
-  size_t operator()(const std::vector<Value>* row) const {
-    size_t h = 0x811c9dc5ULL;
-    for (const Value& v : *row) {
-      h = h * 1099511628211ULL + object::ValueHash(v);
-    }
-    return h;
+/// Keeps rows `order[0..]` of `b`, in that order (a sort permutation or
+/// the survivors of duplicate elimination).
+void SelectRows(const std::vector<size_t>& order, RowBatch* b) {
+  for (std::vector<Value>& col : b->cols) {
+    std::vector<Value> picked;
+    picked.reserve(order.size());
+    for (size_t r : order) picked.push_back(std::move(col[r]));
+    col = std::move(picked);
   }
-};
-struct RowEq {
-  bool operator()(const std::vector<Value>* a,
-                  const std::vector<Value>* b) const {
-    if (a->size() != b->size()) return false;
-    for (size_t i = 0; i < a->size(); ++i) {
-      if (!object::ValueEquals((*a)[i], (*b)[i])) return false;
-    }
-    return true;
-  }
-};
+  b->rows = order.size();
+}
 
 }  // namespace
 
@@ -307,26 +295,33 @@ void Executor::FlushOperatorMetrics(const Plan& plan) const {
   }
 }
 
-size_t Executor::JoinKeyHash(const Value& v) {
-  if (v.kind() == ValueKind::kEnum) {
-    // Enums compare equal to their label string under '='; hash the
-    // label so both key forms land in the same bucket.
-    int ord = v.enum_ordinal();
-    const auto& labels = v.enum_type()->enum_labels();
-    if (ord >= 0 && static_cast<size_t>(ord) < labels.size()) {
-      return std::hash<std::string>()(labels[static_cast<size_t>(ord)]);
+Result<std::optional<size_t>> Executor::JoinRowHash(
+    const std::vector<const std::vector<Value>*>& keys, size_t r) {
+  size_t h = HashDirectory::kBasis;
+  for (const std::vector<Value>* col : keys) {
+    const Value& v = (*col)[r];
+    if (v.is_null()) return std::optional<size_t>();  // NULL never joins
+    if (v.kind() == ValueKind::kRef) {
+      return Status::TypeError(
+          "references cannot be compared with '='; use 'is' / 'isnot' "
+          "(object identity)");
     }
+    size_t vh = object::ValueHash(v);
+    if (v.kind() == ValueKind::kEnum) {
+      // Enums compare equal to their label string under '='; hash the
+      // label so both key forms land in the same bucket.
+      const int ord = v.enum_ordinal();
+      const auto& labels = v.enum_type()->enum_labels();
+      if (ord >= 0 && static_cast<size_t>(ord) < labels.size()) {
+        vh = std::hash<std::string>()(labels[static_cast<size_t>(ord)]);
+      }
+    }
+    h = HashDirectory::Combine(h, vh);
   }
-  return object::ValueHash(v);
+  return std::optional<size_t>(h);
 }
 
 Result<bool> Executor::JoinKeyEquals(const Value& a, const Value& b) const {
-  if (a.kind() == ValueKind::kRef || b.kind() == ValueKind::kRef) {
-    return Status::TypeError(
-        "references cannot be compared with '='; use 'is' / 'isnot' "
-        "(object identity)");
-  }
-  if (a.is_null() || b.is_null()) return false;
   if ((a.kind() == ValueKind::kEnum && b.kind() == ValueKind::kString) ||
       (a.kind() == ValueKind::kString && b.kind() == ValueKind::kEnum)) {
     EXODUS_ASSIGN_OR_RETURN(int c, Compare(a, b));
@@ -391,13 +386,7 @@ bool Executor::VarsOnlyInsideAggs(const Expr& expr,
 Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
                                            const BoundQuery& query,
                                            const Plan& plan, Env* env) {
-  const BoundQuery* saved_query = current_query_;
-  current_query_ = &query;
-  struct QueryRestore {
-    Executor* ex;
-    const BoundQuery* saved;
-    ~QueryRestore() { ex->current_query_ = saved; }
-  } restore{this, saved_query};
+  internal::ScopedValue<const BoundQuery*> scope(&current_query_, &query);
 
   QueryResult result;
   for (size_t i = 0; i < stmt.projections.size(); ++i) {
@@ -430,12 +419,15 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
     }
   }
 
-  bool need_materialize =
+  // Output columns, one per projection, turned into rows once at the end.
+  RowBatch out;
+  out.cols.resize(stmt.projections.size());
+  const bool has_tail =
       !qlevel.empty() || stmt.unique || !stmt.sort_by.empty();
-
-  if (!need_materialize) {
+  uint64_t tail_t0 = 0;
+  if (!has_tail) {
     // Streaming retrieve: projections evaluate once per batch over
-    // columnar bindings. Morsel workers project into their own buffers,
+    // columnar bindings. Morsel workers project into their own columns,
     // concatenated in morsel order (same rows, same order as serial).
     std::vector<std::string> names;
     names.reserve(plan.steps.size());
@@ -443,162 +435,108 @@ Result<QueryResult> Executor::ExecRetrieve(const Stmt& stmt,
     EXODUS_RETURN_IF_ERROR(RunPlanBatched(
         plan, query, env,
         [&names, &stmt](Executor* ex, Env* e, RowBatch& b,
-                        std::vector<std::vector<Value>>* out) -> Status {
-          return ex->ProjectBatch(stmt, names, b, e, out);
+                        RowBatch* cols) -> Status {
+          return ex->ProjectBatch(stmt, names, b, e, cols);
         },
-        &result.rows));
-    return result;
-  }
+        &out));
+  } else {
+    EXODUS_ASSIGN_OR_RETURN(RowBatch frame, MaterializeRows(plan, query, env));
+    tail_t0 = obs::MonotonicNowNs();
+    std::vector<std::string> names;
+    names.reserve(query.vars.size());
+    for (const BoundVar& v : query.vars) names.push_back(v.name);
 
-  EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> bindings,
-                          MaterializeRows(plan, query, env));
-
-  auto push_bindings = [&](const std::vector<Value>& row) {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) {
-      env->stack.emplace_back(query.vars[vi].name, row[vi]);
-    }
-  };
-  auto pop_bindings = [&]() {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
-  };
-
-  // Columnar two-phase aggregation: partition keys and arguments
-  // evaluate once per column over all binding rows, then group via flat
-  // hash arrays; every binding row remembers its group per aggregate.
-  BatchAggResult bagg;
-  if (!qlevel.empty()) {
-    EXODUS_ASSIGN_OR_RETURN(
-        bagg, AccumulateAggregatesBatched(qlevel, query, bindings, env));
-  }
-
-  // The "all aggregates, no partitions" case collapses to a single row.
-  bool single_row = false;
-  if (!qlevel.empty() && !stmt.projections.empty()) {
-    single_row = true;
+    // The "all aggregates, no partitions" case collapses to a single row.
+    bool single_row = !qlevel.empty() && !stmt.projections.empty();
     for (const Expr* a : qlevel) {
       if (!a->over.empty()) single_row = false;
     }
     for (const Projection& p : stmt.projections) {
       if (!VarsOnlyInsideAggs(*p.expr, qlevel)) single_row = false;
     }
-  }
-
-  using AggMap = std::map<const Expr*, Value>;
-  auto agg_values_for_row = [&](bool have_row, size_t row_idx) -> AggMap {
-    AggMap out;
-    for (size_t t = 0; t < qlevel.size(); ++t) {
-      const Expr* node = qlevel[t];
-      Value v;
-      if (have_row && row_idx < bagg.row_group[t].size()) {
-        v = bagg.finished[t][bagg.row_group[t][row_idx]];
-      } else if (node->over.empty() && !bagg.finished[t].empty()) {
-        v = bagg.finished[t][0];
-      } else {
-        v = bagg.empty_finished[t];
-      }
-      out[node] = std::move(v);
+    AggColumns agg_cols;
+    agg_cols.nodes = &qlevel;
+    if (!qlevel.empty()) {
+      EXODUS_ASSIGN_OR_RETURN(agg_cols.cols,
+                              AccumulateAggregatesBatched(
+                                  qlevel, names, frame, single_row, env));
     }
-    return out;
-  };
-
-  std::vector<std::vector<Value>> out_rows;
-  std::vector<std::vector<Value>> sort_keys;
-
-  if (single_row) {
-    AggMap agg_vals = agg_values_for_row(false, 0);
-    agg_override_ = &agg_vals;
-    std::vector<Value> row;
-    Status st = Status::OK();
-    for (const Projection& p : stmt.projections) {
-      auto v = Eval(*p.expr, env);
-      if (!v.ok()) {
-        st = v.status();
-        break;
-      }
-      row.push_back(v->DeepCopy());
+    if (single_row) {
+      // Projections see the bindings only through their aggregates:
+      // evaluate them over one empty binding.
+      frame = RowBatch{};
+      frame.rows = 1;
+      names.clear();
     }
-    agg_override_ = nullptr;
-    EXODUS_RETURN_IF_ERROR(st);
-    out_rows.push_back(std::move(row));
-  } else {
-    for (size_t ri = 0; ri < bindings.size(); ++ri) {
-      push_bindings(bindings[ri]);
-      AggMap agg_vals;
-      if (!qlevel.empty()) agg_vals = agg_values_for_row(true, ri);
-      agg_override_ = qlevel.empty() ? nullptr : &agg_vals;
-      std::vector<Value> row;
-      std::vector<Value> skey;
-      Status st = Status::OK();
-      for (const Projection& p : stmt.projections) {
-        auto v = Eval(*p.expr, env);
-        if (!v.ok()) {
-          st = v.status();
-          break;
-        }
-        row.push_back(v->DeepCopy());
+    internal::ScopedValue<AggColumns*> agg_scope(&agg_cols_, &agg_cols);
+    EXODUS_RETURN_IF_ERROR(ProjectBatch(stmt, names, frame, env, &out));
+
+    // sort by: a stable permutation over the key columns, nulls first.
+    if (!stmt.sort_by.empty() && !single_row) {
+      const size_t nkeys = stmt.sort_by.size();
+      std::vector<std::vector<Value>> kscratch(nkeys);
+      std::vector<const std::vector<Value>*> keys(nkeys);
+      for (size_t k = 0; k < nkeys; ++k) {
+        EXODUS_ASSIGN_OR_RETURN(
+            keys[k],
+            EvalBatchCol(*stmt.sort_by[k], names, frame, env, &kscratch[k]));
       }
-      if (st.ok()) {
-        for (const ExprPtr& s : stmt.sort_by) {
-          auto v = Eval(*s, env);
-          if (!v.ok()) {
-            st = v.status();
-            break;
+      std::vector<size_t> order(out.rows);
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      Status sort_error = Status::OK();
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        for (const std::vector<Value>* key : keys) {
+          const Value& va = (*key)[a];
+          const Value& vb = (*key)[b];
+          if (va.is_null() && vb.is_null()) continue;
+          if (va.is_null()) return true;
+          if (vb.is_null()) return false;
+          auto c = Compare(va, vb);
+          if (!c.ok()) {
+            sort_error = c.status();
+            return false;
           }
-          skey.push_back(v->DeepCopy());
+          if (*c != 0) return *c < 0;
         }
+        return false;
+      });
+      EXODUS_RETURN_IF_ERROR(sort_error);
+      SelectRows(order, &out);
+    }
+
+    // unique: keep the first occurrence of every output row.
+    if (stmt.unique) {
+      HashDirectory seen;
+      std::vector<size_t> keep;
+      for (size_t r = 0; r < out.rows; ++r) {
+        size_t h = HashDirectory::kBasis;
+        for (const std::vector<Value>& col : out.cols) {
+          h = HashDirectory::Combine(h, object::ValueHash(col[r]));
+        }
+        const bool fresh =
+            seen.FindOrInsert(h, [&](int32_t e) {
+                  const size_t k = keep[static_cast<size_t>(e)];
+                  for (const std::vector<Value>& col : out.cols) {
+                    if (!object::ValueEquals(col[k], col[r])) return false;
+                  }
+                  return true;
+                }).second;
+        if (fresh) keep.push_back(r);
       }
-      agg_override_ = nullptr;
-      pop_bindings();
-      EXODUS_RETURN_IF_ERROR(st);
-      out_rows.push_back(std::move(row));
-      sort_keys.push_back(std::move(skey));
+      SelectRows(keep, &out);
     }
   }
 
-  // sort by (stable; nulls first; pairs permuted together).
-  if (!stmt.sort_by.empty() && !single_row) {
-    std::vector<size_t> order(out_rows.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    Status sort_error = Status::OK();
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                       for (size_t k = 0; k < stmt.sort_by.size(); ++k) {
-                         const Value& va = sort_keys[a][k];
-                         const Value& vb = sort_keys[b][k];
-                         if (va.is_null() && vb.is_null()) continue;
-                         if (va.is_null()) return true;
-                         if (vb.is_null()) return false;
-                         auto c = Compare(va, vb);
-                         if (!c.ok()) {
-                           sort_error = c.status();
-                           return false;
-                         }
-                         if (*c != 0) return *c < 0;
-                       }
-                       return false;
-                     });
-    EXODUS_RETURN_IF_ERROR(sort_error);
-    std::vector<std::vector<Value>> sorted;
-    sorted.reserve(out_rows.size());
-    for (size_t i : order) sorted.push_back(std::move(out_rows[i]));
-    out_rows = std::move(sorted);
+  result.rows.resize(out.rows);
+  for (size_t r = 0; r < out.rows; ++r) {
+    std::vector<Value>& row = result.rows[r];
+    row.reserve(out.cols.size());
+    for (std::vector<Value>& col : out.cols) row.push_back(std::move(col[r]));
   }
-
-  // unique: duplicate elimination on output rows.
-  if (stmt.unique) {
-    std::vector<std::vector<Value>> deduped;
-    // Reserve up front: `seen` stores pointers into `deduped`, which must
-    // therefore never reallocate.
-    deduped.reserve(out_rows.size());
-    std::unordered_set<const std::vector<Value>*, RowHash, RowEq> seen;
-    for (auto& row : out_rows) {
-      deduped.push_back(std::move(row));
-      if (!seen.insert(&deduped.back()).second) deduped.pop_back();
-    }
-    out_rows = std::move(deduped);
+  if (has_tail) {
+    run_stats_.has_finish = true;
+    run_stats_.finish_ns = obs::MonotonicNowNs() - tail_t0;
   }
-
-  result.rows = std::move(out_rows);
   return result;
 }
 

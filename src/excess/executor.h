@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -63,6 +64,55 @@ struct OperatorMetrics {
   static const char* KindLabel(PlanStep::Kind kind);
   /// Registers all series into `registry` (idempotent).
   void Register(obs::MetricsRegistry* registry);
+};
+
+/// A flat chained hash directory over entries numbered 0..size()-1 in
+/// insertion order. It keeps each entry's full hash and chain link;
+/// callers keep keys and payloads in their own arrays indexed by entry.
+/// Every chain enumerates in insertion order, and the bucket array
+/// doubles to stay at load factor <= 0.5. One type serves the hash-join
+/// build, aggregate grouping and partial merging, and `unique`.
+class HashDirectory {
+ public:
+  /// FNV-style combine for multi-column keys: start from kBasis and fold
+  /// in each column's hash with Combine.
+  static constexpr size_t kBasis = 0x811c9dc5ULL;
+  static constexpr size_t kPrime = 1099511628211ULL;
+  static size_t Combine(size_t h, size_t v) { return h * kPrime + v; }
+
+  size_t size() const { return hashes_.size(); }
+  size_t Hash(int32_t e) const { return hashes_[static_cast<size_t>(e)]; }
+  /// First entry of h's bucket (-1 if none); walk on with Next. A bucket
+  /// may hold other full hashes, so callers compare Hash(e) with h.
+  int32_t First(size_t h) const {
+    return heads_.empty() ? -1 : heads_[h & mask_];
+  }
+  int32_t Next(int32_t e) const { return next_[static_cast<size_t>(e)]; }
+
+  /// Sizes the directory for `n` entries, so inserting up to n regrows
+  /// nothing.
+  void Reserve(size_t n);
+  /// Appends an entry with hash `h` (duplicates allowed); returns it.
+  int32_t Insert(size_t h);
+  /// The first entry with hash `h` for which same(entry) holds, else a
+  /// new entry: returns {entry, inserted}.
+  template <typename Same>
+  std::pair<int32_t, bool> FindOrInsert(size_t h, const Same& same) {
+    for (int32_t e = First(h); e >= 0; e = Next(e)) {
+      if (Hash(e) == h && same(e)) return {e, false};
+    }
+    return {Insert(h), true};
+  }
+
+ private:
+  /// Appends entry `e` to the tail of its bucket's chain.
+  void Link(int32_t e);
+
+  std::vector<size_t> hashes_;  // [entry]
+  std::vector<int32_t> next_;   // [entry] -> next in chain or -1
+  std::vector<int32_t> heads_;  // [bucket] -> first entry or -1
+  std::vector<int32_t> tails_;  // [bucket] -> last entry or -1
+  size_t mask_ = 0;
 };
 
 /// The result of executing one statement: a table of values for
@@ -255,53 +305,50 @@ class Executor {
                                        Plan* plan);
   /// Authorization: retrieving bindings reads every root extent.
   util::Status CheckPlanPrivileges(const Plan& plan) const;
-  /// '='-semantics equality for hash-join keys: NULL never matches,
-  /// int/float compare numerically, enum<->string compare by label,
-  /// references are a TypeError (mirrors EvalBinary's "=").
+  /// '='-semantics equality for two non-NULL, non-reference hash-join
+  /// keys (JoinRowHash screens out both): int/float compare numerically,
+  /// enum<->string compare by label (mirrors EvalBinary's "=").
   util::Result<bool> JoinKeyEquals(const object::Value& a,
                                    const object::Value& b) const;
-  /// Hash consistent with JoinKeyEquals (enums hash as their label so
-  /// enum-vs-string probes land in the same bucket).
-  static size_t JoinKeyHash(const object::Value& v);
+  /// Combined hash of row `r` of the join key columns `keys`, consistent
+  /// with JoinKeyEquals (enums hash as their label so enum-vs-string
+  /// probes land in the same bucket). Null when a key is NULL (NULL never
+  /// joins); a reference key is a TypeError.
+  static util::Result<std::optional<size_t>> JoinRowHash(
+      const std::vector<const std::vector<object::Value>*>& keys, size_t r);
 
   /// Per-execution columnar state of one kHashJoin step: build-side key
-  /// values, elements and full combined-key hashes as flat parallel
-  /// arrays, chained into power-of-two buckets. Probing walks integer
-  /// chains over the contiguous hash array, so key hashing/comparison
-  /// never touches node-based containers. Lives outside the (shared,
-  /// immutable) Plan so cached plans stay safe to execute concurrently.
-  /// Once built the table is immutable, so the morsel pipeline can
-  /// share one instance read-only across workers; probe-side scratch
-  /// (mutated per batch) lives in the per-worker Executor instead
-  /// (probe_scratch_).
+  /// values and elements as flat parallel arrays, chained by a
+  /// HashDirectory over their full combined-key hashes, so key
+  /// hashing/comparison never touches node-based containers. Lives
+  /// outside the (shared, immutable) Plan so cached plans stay safe to
+  /// execute concurrently. Once built the table is immutable, so the
+  /// morsel pipeline can share one instance read-only across workers;
+  /// probe-side scratch (mutated per batch) lives in the per-worker
+  /// Executor instead (probe_scratch_).
   struct JoinHashTable {
     bool built = false;
     std::vector<std::vector<object::Value>> key_cols;  // [key][entry]
     std::vector<object::Value> elements;               // [entry]
-    std::vector<size_t> hashes;                        // [entry]
-    std::vector<int32_t> heads;  // [bucket] -> first entry or -1
-    std::vector<int32_t> next;   // [entry] -> next in chain or -1
-    size_t bucket_mask = 0;
+    HashDirectory dir;  // entry hashes, chains in build order
   };
   using BatchSink = std::function<util::Status(RowBatch&)>;
-  /// Converts one surviving RowBatch into output rows appended to `out`,
-  /// using the given executor/environment (the statement's own on the
-  /// serial path, worker-local ones under the morsel scheduler). The two
+  /// Appends the columns of one surviving RowBatch to `out`, using the
+  /// given executor/environment (the statement's own on the serial path,
+  /// worker-local ones under the morsel scheduler). The two
   /// implementations are binding materialization (BoundQuery::vars
   /// order) and streaming projection.
-  using RowEmit = std::function<util::Status(
-      Executor* ex, Env* env, RowBatch& batch,
-      std::vector<std::vector<object::Value>>* out)>;
+  using RowEmit = std::function<util::Status(Executor* ex, Env* env,
+                                             RowBatch& batch, RowBatch* out)>;
   /// Runs the plan pipeline: operators exchange RowBatch windows of
-  /// SessionOptions::batch_size rows, and `emit` turns every surviving
-  /// batch (columns in plan-step order) into rows of `out`. Validates
-  /// the session options, evaluates the plan's constant filters, then
-  /// runs morsel-parallel when TryRunPlanParallel accepts the statement
-  /// and serially otherwise (same rows, same order). Wall time is
-  /// sampled per batch (StepRuntime::ShouldTimeBatch).
+  /// SessionOptions::batch_size rows, and `emit` appends every surviving
+  /// batch (columns in plan-step order) to the columns of `out`.
+  /// Validates the session options, evaluates the plan's constant
+  /// filters, then runs morsel-parallel when TryRunPlanParallel accepts
+  /// the statement and serially otherwise (same rows, same order). Wall
+  /// time is sampled per batch (StepRuntime::ShouldTimeBatch).
   util::Status RunPlanBatched(const Plan& plan, const BoundQuery& query,
-                              Env* env, const RowEmit& emit,
-                              std::vector<std::vector<object::Value>>* out);
+                              Env* env, const RowEmit& emit, RowBatch* out);
   /// Per-batch accounting wrapper around ExpandStepBatch (and the
   /// end-of-pipeline case).
   util::Status RunStepBatched(const Plan& plan, size_t step_idx, RowBatch& in,
@@ -321,12 +368,14 @@ class Executor {
                                       JoinHashTable* table, Env* env,
                                       int workers);
   /// Hashes the non-null elements [lo, hi) of a hash-join build side
-  /// into the flat arrays of `out` (key columns, elements, hashes).
-  /// Elements whose key is NULL never join and are skipped.
+  /// into the flat arrays of `out` (key columns, elements) and their
+  /// key hashes into `hashes`, leaving out->dir alone. Elements whose
+  /// key is NULL never join and are skipped.
   util::Status HashJoinBuildRange(const PlanStep& step,
                                   const std::vector<object::Value>& elems,
                                   size_t lo, size_t hi, Env* env,
-                                  JoinHashTable* out);
+                                  JoinHashTable* out,
+                                  std::vector<size_t>* hashes);
   /// Records a batch_size > kMaxBatchSize clamp: remembers the
   /// requested value in run_stats_ (surfaced as a `\explain analyze`
   /// note), bumps exodus_exec_batch_size_clamped_total and logs a
@@ -347,10 +396,12 @@ class Executor {
                          const std::vector<std::string>& names,
                          const RowBatch& batch, Env* env,
                          std::vector<object::Value>* out);
-  util::Status EvalBatchRowwise(const Expr& expr,
-                                const std::vector<std::string>& names,
-                                const RowBatch& batch, Env* env,
-                                std::vector<object::Value>* out);
+  /// The one binding loop: pushes `names` onto env->stack once, then
+  /// overwrites their values with each row of `batch` and calls body(r),
+  /// stopping at the first error.
+  util::Status ForEachRow(const std::vector<std::string>& names,
+                          const RowBatch& batch, Env* env,
+                          const std::function<util::Status(size_t)>& body);
   /// Zero-copy variant of EvalBatch: when `expr` is a direct reference
   /// to a batch variable, returns a pointer to the existing column;
   /// otherwise evaluates into `scratch` and returns &scratch. The
@@ -364,33 +415,37 @@ class Executor {
   static bool ReferencesBatchVar(const Expr& expr,
                                  const std::vector<std::string>& names,
                                  size_t depth);
-  /// Materializes all binding rows (used by updates — mutate after
-  /// enumeration — and by aggregate/sort/unique retrieves). Rows are in
-  /// BoundQuery::vars order.
-  util::Result<std::vector<std::vector<object::Value>>> MaterializeRows(
-      const Plan& plan, const BoundQuery& query, Env* env);
-  /// Streaming retrieve over the batch pipeline: evaluates every
-  /// projection per batch and appends deep-copied output rows.
+  /// Materializes all bindings as one column per BoundQuery::vars entry,
+  /// in that order (used by updates — mutate after enumeration — and by
+  /// aggregate/sort/unique retrieves).
+  util::Result<RowBatch> MaterializeRows(const Plan& plan,
+                                         const BoundQuery& query, Env* env);
+  /// Runs `body` once per binding row with the query's variables bound
+  /// in `env`: the names are pushed once and their values overwritten
+  /// per row. A query without variables has one empty binding (none
+  /// when a constant filter fails). Makes `query` current throughout.
+  util::Status ForEachBinding(
+      const Plan& plan, const BoundQuery& query, Env* env,
+      const std::function<util::Status(const RowBatch&, size_t)>& body);
+  /// Evaluates every projection over `batch` and appends the values to
+  /// `out`, which holds one column per projection, deep-copying
+  /// composites.
   /// Evaluation columns live in proj_scratch_ so their capacity
   /// survives across batches.
   util::Status ProjectBatch(const Stmt& stmt,
                             const std::vector<std::string>& names,
-                            const RowBatch& batch, Env* env,
-                            std::vector<std::vector<object::Value>>* out);
-  /// Columnar two-phase aggregation over materialized binding rows: per
-  /// aggregate table, group keys live in flat per-key columns with a
-  /// chained hash directory (no per-group node allocations), finished
-  /// values are computed once per group, and each binding row remembers
-  /// its group index so the output phase never re-evaluates `over`
-  /// expressions.
-  struct BatchAggResult {
-    std::vector<std::vector<object::Value>> finished;  // [table][group]
-    std::vector<std::vector<uint32_t>> row_group;      // [table][row]
-    std::vector<object::Value> empty_finished;         // [table]
-  };
-  util::Result<BatchAggResult> AccumulateAggregatesBatched(
-      const std::vector<const Expr*>& qlevel, const BoundQuery& query,
-      const std::vector<std::vector<object::Value>>& bindings, Env* env);
+                            const RowBatch& batch, Env* env, RowBatch* out);
+  /// Columnar two-phase aggregation over the binding columns `b`
+  /// (variables `names`): group keys live in flat per-key columns behind
+  /// a HashDirectory and finished values are computed once per group.
+  /// Returns one value column per query-level aggregate: one value per
+  /// binding row (its group's value), or with `one_row` a single value
+  /// (no aggregate has `over`, so all rows form one group; no rows
+  /// finish an empty group).
+  util::Result<std::vector<std::vector<object::Value>>>
+  AccumulateAggregatesBatched(const std::vector<const Expr*>& qlevel,
+                              const std::vector<std::string>& names,
+                              const RowBatch& b, bool one_row, Env* env);
 
   // --- morsel-driven parallel execution — executor_parallel.cc ---
   /// Worker count the current statement resolves to: exec_threads, or
@@ -401,17 +456,16 @@ class Executor {
   /// morsels, runs the RunStepBatched pipeline on ResolveExecThreads()
   /// workers (pool tasks plus the calling thread, all claiming morsels
   /// from one atomic counter) against shared eagerly-built join tables,
-  /// and concatenates per-morsel output buffers in morsel order so row
+  /// and concatenates per-morsel output columns in morsel order so row
   /// order matches the serial path. Returns false — without touching
-  /// `out_rows` — when the statement is not eligible (one worker, no
+  /// `out` — when the statement is not eligible (one worker, no
   /// pool, nested execution, non-scan driving step, or fewer than two
   /// morsels); the caller then runs the serial pipeline. Per-worker
   /// PlanRuntime counters are folded into run_stats_ at the end, so
   /// `\explain analyze` actuals stay exact under concurrency.
-  util::Result<bool> TryRunPlanParallel(
-      const Plan& plan, const BoundQuery& query, Env* env,
-      const RowEmit& emit,
-      std::vector<std::vector<object::Value>>* out_rows);
+  util::Result<bool> TryRunPlanParallel(const Plan& plan,
+                                        const BoundQuery& query, Env* env,
+                                        const RowEmit& emit, RowBatch* out);
   /// Runs fn(0..total-1): total-1 pool tasks plus the calling thread as
   /// worker 0, returning after every invocation finished. Falls back to
   /// inline execution if the pool refuses a task (shutdown).
@@ -550,7 +604,7 @@ class Executor {
   /// path would have.
   struct AggPartial {
     std::vector<std::vector<object::Value>> gkey_cols;  // [over][group]
-    std::vector<size_t> ghash;                          // [group]
+    HashDirectory groups;                               // [group]
     std::vector<AggAccum> accums;                       // [group]
     std::vector<std::vector<object::Value>> uniq_order;  // [group]
     std::vector<uint32_t> row_group;  // [row within the range]
@@ -590,8 +644,17 @@ class Executor {
   // Per-statement state.
   const BoundQuery* current_query_ = nullptr;
   std::map<std::string, const extra::Type*> param_types_;
-  /// Query-level aggregate values for the current output row.
-  const std::map<const Expr*, object::Value>* agg_override_ = nullptr;
+  /// Query-level aggregate values of the running aggregate retrieve:
+  /// EvalBatchCol resolves nodes[i] to cols[i]; a per-row Eval resolves
+  /// it to cols[i][row], with `row` set by EvalBatch's per-row fallback.
+  struct AggColumns {
+    const std::vector<const Expr*>* nodes = nullptr;
+    std::vector<std::vector<object::Value>> cols;
+    size_t row = 0;
+    /// The column of aggregate `node`, or null when it is not one.
+    const std::vector<object::Value>* Find(const Expr* node) const;
+  };
+  AggColumns* agg_cols_ = nullptr;
   std::string last_plan_;
   /// Actuals of the most recent RunPlanBatched (reset at its start). One
   /// instance per Executor, so concurrent sessions executing one cached

@@ -23,21 +23,48 @@ using object::ValueKind;
 using util::Result;
 using util::Status;
 
-namespace {
-
-// FNV-1a-style combine for multi-column keys (join keys, group keys).
-constexpr size_t kHashBasis = 0x811c9dc5ULL;
-constexpr size_t kHashPrime = 1099511628211ULL;
-
-// Smallest power of two >= 2*n (min 16): the chained-bucket directory
-// stays at load factor <= 0.5.
-size_t BucketCountFor(size_t n) {
+void HashDirectory::Reserve(size_t n) {
+  hashes_.reserve(n);
+  next_.reserve(n);
   size_t buckets = 16;
   while (buckets < 2 * n) buckets <<= 1;
-  return buckets;
+  if (buckets <= heads_.size()) return;
+  // Regrow: re-chain every entry, front to back, into the new buckets.
+  mask_ = buckets - 1;
+  heads_.assign(buckets, -1);
+  tails_.assign(buckets, -1);
+  for (size_t e = 0; e < hashes_.size(); ++e) Link(static_cast<int32_t>(e));
 }
 
-}  // namespace
+int32_t HashDirectory::Insert(size_t h) {
+  const int32_t e = static_cast<int32_t>(hashes_.size());
+  hashes_.push_back(h);
+  next_.push_back(-1);
+  if (hashes_.size() * 2 > heads_.size()) {
+    Reserve(hashes_.size());  // links e along with every other entry
+  } else {
+    Link(e);
+  }
+  return e;
+}
+
+void HashDirectory::Link(int32_t e) {
+  const size_t b = Hash(e) & mask_;
+  next_[static_cast<size_t>(e)] = -1;
+  if (tails_[b] < 0) {
+    heads_[b] = e;
+  } else {
+    next_[static_cast<size_t>(tails_[b])] = e;
+  }
+  tails_[b] = e;
+}
+
+const std::vector<Value>* Executor::AggColumns::Find(const Expr* node) const {
+  for (size_t i = 0; i < nodes->size(); ++i) {
+    if ((*nodes)[i] == node) return &cols[i];
+  }
+  return nullptr;
+}
 
 void Executor::NoteBatchClamp(int requested) {
   run_stats_.clamped_batch_size = requested;
@@ -80,26 +107,20 @@ bool Executor::ReferencesBatchVar(const Expr& expr,
   return false;
 }
 
-Status Executor::EvalBatchRowwise(const Expr& expr,
-                                  const std::vector<std::string>& names,
-                                  const RowBatch& b, Env* env,
-                                  std::vector<Value>* out) {
+Status Executor::ForEachRow(const std::vector<std::string>& names,
+                            const RowBatch& b, Env* env,
+                            const std::function<Status(size_t)>& body) {
   const size_t depth = b.cols.size();
   const size_t base = env->stack.size();
   for (size_t k = 0; k < depth; ++k) {
     env->stack.emplace_back(names[k], Value::Null());
   }
   Status st = Status::OK();
-  for (size_t r = 0; r < b.rows; ++r) {
+  for (size_t r = 0; r < b.rows && st.ok(); ++r) {
     for (size_t k = 0; k < depth; ++k) {
       env->stack[base + k].second = b.cols[k][r];
     }
-    auto v = Eval(expr, env);
-    if (!v.ok()) {
-      st = v.status();
-      break;
-    }
-    out->push_back(std::move(*v));
+    st = body(r);
   }
   env->stack.resize(base);
   return st;
@@ -113,6 +134,10 @@ Result<const std::vector<Value>*> Executor::EvalBatchCol(
     for (size_t k = b.cols.size(); k-- > 0;) {
       if (names[k] == expr.name) return &b.cols[k];
     }
+  }
+  if (expr.kind == ExprKind::kAggregate && agg_cols_ != nullptr) {
+    const std::vector<Value>* col = agg_cols_->Find(&expr);
+    if (col != nullptr) return col;
   }
   EXODUS_RETURN_IF_ERROR(EvalBatch(expr, names, b, env, scratch));
   return scratch;
@@ -247,8 +272,14 @@ Status Executor::EvalBatch(const Expr& expr,
       break;
   }
   // Calls, aggregates, quantifiers, collection literals, indexing:
-  // evaluate per row with the batch variables bound in the environment.
-  return EvalBatchRowwise(expr, names, b, env, out);
+  // evaluate per row with the batch variables bound in the environment
+  // (a query-level aggregate reads that row of its column).
+  return ForEachRow(names, b, env, [&](size_t r) -> Status {
+    if (agg_cols_ != nullptr) agg_cols_->row = r;
+    EXODUS_ASSIGN_OR_RETURN(Value v, Eval(expr, env));
+    out->push_back(std::move(v));
+    return Status::OK();
+  });
 }
 
 Status Executor::ApplyStepFilters(const PlanStep& step,
@@ -278,7 +309,8 @@ Status Executor::ApplyStepFilters(const PlanStep& step,
 Status Executor::HashJoinBuildRange(const PlanStep& step,
                                     const std::vector<Value>& elems,
                                     size_t lo, size_t hi, Env* env,
-                                    JoinHashTable* out) {
+                                    JoinHashTable* out,
+                                    std::vector<size_t>* hashes) {
   const size_t nkeys = step.build_keys.size();
   // Non-null elements form a one-column batch so key expressions run
   // through EvalBatch instead of one Eval per element (same
@@ -302,29 +334,15 @@ Status Executor::HashJoinBuildRange(const PlanStep& step,
   out->key_cols.assign(nkeys, {});
   for (auto& kc : out->key_cols) kc.reserve(eb.rows);
   out->elements.reserve(eb.rows);
-  out->hashes.reserve(eb.rows);
+  hashes->reserve(eb.rows);
   for (size_t r = 0; r < eb.rows; ++r) {
-    size_t h = kHashBasis;
-    bool usable = true;
-    for (size_t k = 0; k < nkeys; ++k) {
-      const Value& kv = (*kcols[k])[r];
-      if (kv.is_null()) {
-        usable = false;  // NULL keys never join
-        break;
-      }
-      if (kv.kind() == ValueKind::kRef) {
-        return Status::TypeError(
-            "references cannot be compared with '='; use 'is' / 'isnot' "
-            "(object identity)");
-      }
-      h = h * kHashPrime + JoinKeyHash(kv);
-    }
-    if (!usable) continue;
+    EXODUS_ASSIGN_OR_RETURN(std::optional<size_t> h, JoinRowHash(kcols, r));
+    if (!h) continue;
     for (size_t k = 0; k < nkeys; ++k) {
       out->key_cols[k].push_back((*kcols[k])[r]);
     }
     out->elements.push_back(eb.cols[0][r]);
-    out->hashes.push_back(h);
+    hashes->push_back(*h);
   }
   return Status::OK();
 }
@@ -357,12 +375,15 @@ Status Executor::BuildJoinHashTable(const PlanStep& step,
   }
 
   const size_t n = elems->size();
+  std::vector<size_t> hashes;  // [entry]
   if (workers <= 1 || n < 2 * batch_cap_) {
     // Too small to amortize a fan-out: the one-chunk build, in place.
-    EXODUS_RETURN_IF_ERROR(HashJoinBuildRange(step, *elems, 0, n, env, table));
+    EXODUS_RETURN_IF_ERROR(
+        HashJoinBuildRange(step, *elems, 0, n, env, table, &hashes));
   } else {
     const size_t nchunks = (n + batch_cap_ - 1) / batch_cap_;
     std::vector<JoinHashTable> chunks(nchunks);
+    std::vector<std::vector<size_t>> chunk_hashes(nchunks);
     std::vector<Status> chunk_status(nchunks, Status::OK());
     std::atomic<size_t> next{0};
     std::atomic<bool> failed{false};
@@ -380,7 +401,8 @@ Status Executor::BuildJoinHashTable(const PlanStep& step,
         if (c >= nchunks) break;
         const size_t lo = c * batch_cap_;
         Status st = wexec.HashJoinBuildRange(
-            step, *elems, lo, std::min(n, lo + batch_cap_), &wenv, &chunks[c]);
+            step, *elems, lo, std::min(n, lo + batch_cap_), &wenv, &chunks[c],
+            &chunk_hashes[c]);
         if (!st.ok()) {
           chunk_status[c] = std::move(st);
           failed.store(true, std::memory_order_relaxed);
@@ -397,31 +419,23 @@ Status Executor::BuildJoinHashTable(const PlanStep& step,
     table->key_cols.assign(nkeys, {});
     for (auto& kc : table->key_cols) kc.reserve(total);
     table->elements.reserve(total);
-    table->hashes.reserve(total);
-    for (JoinHashTable& c : chunks) {
+    hashes.reserve(total);
+    for (size_t c = 0; c < nchunks; ++c) {
       for (size_t k = 0; k < nkeys; ++k) {
-        std::move(c.key_cols[k].begin(), c.key_cols[k].end(),
+        std::move(chunks[c].key_cols[k].begin(), chunks[c].key_cols[k].end(),
                   std::back_inserter(table->key_cols[k]));
       }
-      std::move(c.elements.begin(), c.elements.end(),
+      std::move(chunks[c].elements.begin(), chunks[c].elements.end(),
                 std::back_inserter(table->elements));
-      table->hashes.insert(table->hashes.end(), c.hashes.begin(),
-                           c.hashes.end());
+      hashes.insert(hashes.end(), chunk_hashes[c].begin(),
+                    chunk_hashes[c].end());
     }
   }
 
-  // Chained bucket directory over the flat hash array. Entries are
-  // inserted back-to-front so every chain enumerates in build order.
-  const size_t rows = table->elements.size();
-  const size_t buckets = BucketCountFor(rows);
-  table->bucket_mask = buckets - 1;
-  table->heads.assign(buckets, -1);
-  table->next.assign(rows, -1);
-  for (size_t i = rows; i-- > 0;) {
-    const size_t bidx = table->hashes[i] & table->bucket_mask;
-    table->next[i] = table->heads[bidx];
-    table->heads[bidx] = static_cast<int32_t>(i);
-  }
+  // One directory over the entries, chained in entry order, so every
+  // chain enumerates in build order.
+  table->dir.Reserve(hashes.size());
+  for (size_t h : hashes) table->dir.Insert(h);
   return Status::OK();
 }
 
@@ -658,27 +672,14 @@ Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
                                              env, &pscratch[k]));
       }
       for (size_t r = 0; r < in.rows; ++r) {
-        size_t h = kHashBasis;
-        bool usable = true;
-        for (size_t k = 0; k < nkeys; ++k) {
-          const Value& kv = (*probe_cols[k])[r];
-          if (kv.is_null()) {
-            usable = false;  // NULL keys never join
-            break;
-          }
-          if (kv.kind() == ValueKind::kRef) {
-            return Status::TypeError(
-                "references cannot be compared with '='; use 'is' / 'isnot' "
-                "(object identity)");
-          }
-          h = h * kHashPrime + JoinKeyHash(kv);
-        }
-        if (!usable || table.elements.empty()) continue;
-        for (int32_t e = table.heads[h & table.bucket_mask]; e >= 0;
-             e = table.next[e]) {
+        EXODUS_ASSIGN_OR_RETURN(std::optional<size_t> h,
+                                JoinRowHash(probe_cols, r));
+        if (!h) continue;
+        for (int32_t e = table.dir.First(*h); e >= 0;
+             e = table.dir.Next(e)) {
           // Bucket collisions with a different full hash are skipped
           // without counting: only full-hash candidates are examined.
-          if (table.hashes[e] != h) continue;
+          if (table.dir.Hash(e) != *h) continue;
           ++srt.rows_examined;  // bucket candidates probed
           bool match = true;
           for (size_t k = 0; k < nkeys; ++k) {
@@ -703,8 +704,7 @@ Status Executor::ExpandStepBatch(const Plan& plan, size_t step_idx,
 }
 
 Status Executor::RunPlanBatched(const Plan& plan, const BoundQuery& query,
-                                Env* env, const RowEmit& emit,
-                                std::vector<std::vector<Value>>* out) {
+                                Env* env, const RowEmit& emit, RowBatch* out) {
   run_stats_.Reset(plan.steps.size());
   const uint64_t t0 = obs::MonotonicNowNs();
   Status st = [&]() -> Status {
@@ -736,88 +736,74 @@ Status Executor::RunPlanBatched(const Plan& plan, const BoundQuery& query,
   return st;
 }
 
-Result<std::vector<std::vector<Value>>> Executor::MaterializeRows(
-    const Plan& plan, const BoundQuery& query, Env* env) {
-  const size_t nvars = query.vars.size();
-  // Optimizer-built plans carry var_step; hand-built plans (tests) fall
-  // back to a name scan.
-  std::vector<int> var_step = plan.var_step;
-  if (var_step.size() != nvars) {
-    var_step.assign(nvars, -1);
-    for (size_t vi = 0; vi < nvars; ++vi) {
-      for (size_t s = 0; s < plan.steps.size(); ++s) {
-        if (plan.steps[s].var_name == query.vars[vi].name) {
-          var_step[vi] = static_cast<int>(s);
-          break;
-        }
-      }
-    }
-  }
-  std::vector<std::vector<Value>> rows;
-  Status st = RunPlanBatched(
+Result<RowBatch> Executor::MaterializeRows(const Plan& plan,
+                                          const BoundQuery& query, Env* env) {
+  RowBatch bindings;
+  bindings.cols.resize(query.vars.size());
+  const std::vector<int>& var_step = plan.var_step;
+  EXODUS_RETURN_IF_ERROR(RunPlanBatched(
       plan, query, env,
-      [&var_step, nvars](Executor*, Env*, RowBatch& b,
-                         std::vector<std::vector<Value>>* out) -> Status {
-        for (size_t r = 0; r < b.rows; ++r) {
-          std::vector<Value> row;
-          row.reserve(nvars);
-          for (size_t vi = 0; vi < nvars; ++vi) {
-            const int s = var_step[vi];
-            row.push_back(s >= 0 ? b.cols[static_cast<size_t>(s)][r]
-                                 : Value::Null());
+      [&var_step](Executor*, Env*, RowBatch& b, RowBatch* out) -> Status {
+        // Each step binds one variable, so its column moves out whole;
+        // the pipeline re-establishes its columns after every sink call.
+        for (size_t vi = 0; vi < var_step.size(); ++vi) {
+          std::vector<Value>& dst = out->cols[vi];
+          const int s = var_step[vi];
+          if (s < 0) {
+            dst.insert(dst.end(), b.rows, Value::Null());
+            continue;
           }
-          out->push_back(std::move(row));
+          std::vector<Value>& src = b.cols[static_cast<size_t>(s)];
+          if (dst.empty()) {
+            dst = std::move(src);
+          } else {
+            dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+                       std::make_move_iterator(src.end()));
+          }
         }
+        out->rows += b.rows;
         return Status::OK();
       },
-      &rows);
-  EXODUS_RETURN_IF_ERROR(st);
-  return rows;
+      &bindings));
+  return bindings;
 }
 
 Status Executor::ProjectBatch(const Stmt& stmt,
                               const std::vector<std::string>& names,
-                              const RowBatch& batch, Env* env,
-                              std::vector<std::vector<Value>>* out) {
+                              const RowBatch& batch, Env* env, RowBatch* out) {
   const size_t np = stmt.projections.size();
   std::vector<std::vector<Value>>& pscratch = proj_scratch_;
   pscratch.resize(np);
-  std::vector<const std::vector<Value>*> pcols(np);
   for (size_t p = 0; p < np; ++p) {
-    EXODUS_ASSIGN_OR_RETURN(pcols[p],
+    EXODUS_ASSIGN_OR_RETURN(const std::vector<Value>* col,
                             EvalBatchCol(*stmt.projections[p].expr, names,
                                          batch, env, &pscratch[p]));
-  }
-  // Geometric growth: an exact per-batch reserve would reallocate the
-  // (large) row vector on every batch.
-  if (out->capacity() < out->size() + batch.rows) {
-    out->reserve(std::max(out->size() + batch.rows, out->capacity() * 2));
-  }
-  for (size_t r = 0; r < batch.rows; ++r) {
-    std::vector<Value> row;
-    row.reserve(np);
-    for (size_t p = 0; p < np; ++p) {
-      Value& v = pcols[p] == &pscratch[p]
-                     ? pscratch[p][r]
-                     : const_cast<Value&>((*pcols[p])[r]);
-      // DeepCopy is a shallow copy for every non-composite kind, so
-      // owned scratch values can be moved out without a refcount touch;
-      // composites must still detach from shared payloads, and borrowed
-      // batch columns must not be moved from.
+    // DeepCopy is a shallow copy for every non-composite kind, so owned
+    // scratch values can be moved out without a refcount touch;
+    // composites must still detach from shared payloads, and borrowed
+    // batch columns must not be moved from.
+    const bool owned = col == &pscratch[p];
+    std::vector<Value>& dst = out->cols[p];
+    // Geometric growth: an exact per-batch reserve would reallocate the
+    // column on every batch.
+    if (dst.capacity() < dst.size() + batch.rows) {
+      dst.reserve(std::max(dst.size() + batch.rows, dst.capacity() * 2));
+    }
+    for (size_t r = 0; r < batch.rows; ++r) {
+      Value& v = const_cast<Value&>((*col)[r]);
       switch (v.kind()) {
         case ValueKind::kTuple:
         case ValueKind::kSet:
         case ValueKind::kArray:
-          row.push_back(v.DeepCopy());
+          dst.push_back(v.DeepCopy());
           break;
         default:
-          row.push_back(pcols[p] == &pscratch[p] ? std::move(v)
-                                                 : Value(v));
+          dst.push_back(owned ? std::move(v) : Value(v));
           break;
       }
     }
-    out->push_back(std::move(row));
   }
+  out->rows += batch.rows;
   return Status::OK();
 }
 
@@ -850,56 +836,27 @@ Status Executor::AccumulateAggRange(
     size_t row_begin, size_t row_end, AggPartial* out) const {
   const size_t nover = node.over.size();
   const bool uniq = node.unique;
-  // Group directory: flat per-key columns plus a chained power-of-two
-  // bucket array over the combined ValueHash — no per-group nodes.
+  // Group keys live in flat per-key columns behind the directory — no
+  // per-group nodes.
   out->gkey_cols.assign(nover, {});
-  size_t buckets = 64;
-  size_t mask = buckets - 1;
-  std::vector<int32_t> heads(buckets, -1);
-  std::vector<int32_t> gnext;
   out->row_group.reserve(row_end - row_begin);
   const Value one = Value::Int(1);  // count() with no argument counts rows
 
   for (size_t r = row_begin; r < row_end; ++r) {
-    const size_t h = rhash[r];
-    int32_t g = -1;
-    for (int32_t e = heads[h & mask]; e >= 0; e = gnext[e]) {
-      if (out->ghash[e] != h) continue;
-      bool eq = true;
+    const auto [g, fresh] = out->groups.FindOrInsert(rhash[r], [&](int32_t e) {
       for (size_t o = 0; o < nover; ++o) {
-        if (!object::ValueEquals(out->gkey_cols[o][e], over_cols[o][r])) {
-          eq = false;
-          break;
+        if (!object::ValueEquals(out->gkey_cols[o][static_cast<size_t>(e)],
+                                 over_cols[o][r])) {
+          return false;
         }
       }
-      if (eq) {
-        g = e;
-        break;
-      }
-    }
-    if (g < 0) {
-      g = static_cast<int32_t>(out->accums.size());
+      return true;
+    });
+    if (fresh) {
       out->accums.emplace_back();
       if (uniq) out->uniq_order.emplace_back();
-      out->ghash.push_back(h);
-      gnext.push_back(-1);
       for (size_t o = 0; o < nover; ++o) {
         out->gkey_cols[o].push_back(over_cols[o][r]);
-      }
-      if (out->accums.size() * 2 > buckets) {
-        // Regrow the directory at load factor 0.5 and re-chain.
-        buckets <<= 1;
-        mask = buckets - 1;
-        heads.assign(buckets, -1);
-        for (size_t e2 = out->ghash.size(); e2-- > 0;) {
-          const size_t bidx = out->ghash[e2] & mask;
-          gnext[e2] = heads[bidx];
-          heads[bidx] = static_cast<int32_t>(e2);
-        }
-      } else {
-        const size_t bidx = h & mask;
-        gnext[g] = heads[bidx];
-        heads[bidx] = g;
       }
     }
     out->row_group.push_back(static_cast<uint32_t>(g));
@@ -916,29 +873,11 @@ Status Executor::AccumulateAggRange(
   return Status::OK();
 }
 
-Result<Executor::BatchAggResult> Executor::AccumulateAggregatesBatched(
-    const std::vector<const Expr*>& qlevel, const BoundQuery& query,
-    const std::vector<std::vector<Value>>& bindings, Env* env) {
-  BatchAggResult res;
-  const size_t ntab = qlevel.size();
-  res.finished.resize(ntab);
-  res.row_group.resize(ntab);
-  res.empty_finished.resize(ntab);
-
-  // Transpose the materialized binding rows into one columnar batch
-  // over the query variables; partition keys and aggregate arguments
-  // then evaluate column-at-a-time.
-  const size_t nvars = query.vars.size();
-  std::vector<std::string> names;
-  names.reserve(nvars);
-  for (const BoundVar& v : query.vars) names.push_back(v.name);
-  RowBatch b;
-  b.rows = bindings.size();
-  b.cols.resize(nvars);
-  for (size_t k = 0; k < nvars; ++k) {
-    b.cols[k].reserve(bindings.size());
-    for (const auto& row : bindings) b.cols[k].push_back(row[k]);
-  }
+Result<std::vector<std::vector<Value>>> Executor::AccumulateAggregatesBatched(
+    const std::vector<const Expr*>& qlevel,
+    const std::vector<std::string>& names, const RowBatch& b, bool one_row,
+    Env* env) {
+  std::vector<std::vector<Value>> result(qlevel.size());
 
   // Partial aggregation fans out over contiguous row ranges when the
   // statement resolves to more than one worker and has enough rows to
@@ -948,7 +887,7 @@ Result<Executor::BatchAggResult> Executor::AccumulateAggregatesBatched(
   const bool can_parallel = workers > 1 && ctx_->exec_pool != nullptr &&
                             ctx_->call_depth == 0;
 
-  for (size_t t = 0; t < ntab; ++t) {
+  for (size_t t = 0; t < qlevel.size(); ++t) {
     const Expr* node = qlevel[t];
     const size_t nover = node->over.size();
     std::vector<std::vector<Value>> over_cols(nover);
@@ -962,15 +901,15 @@ Result<Executor::BatchAggResult> Executor::AccumulateAggregatesBatched(
     }
     const std::vector<Value>* argp = node->args.empty() ? nullptr : &args;
 
-    // Columnar group-key hashing (the single-core lever B16 left on the
-    // table): combine per-key ValueHash column-at-a-time, so the
-    // grouping loop walks the directory with precomputed hashes instead
-    // of hashing every key of every row in place.
-    std::vector<size_t> rhash(b.rows, kHashBasis);
+    // Columnar group-key hashing: combine per-key ValueHash
+    // column-at-a-time, so the grouping loop walks the directory with
+    // precomputed hashes instead of hashing every key of every row in
+    // place.
+    std::vector<size_t> rhash(b.rows, HashDirectory::kBasis);
     for (size_t o = 0; o < nover; ++o) {
       const std::vector<Value>& col = over_cols[o];
       for (size_t r = 0; r < b.rows; ++r) {
-        rhash[r] = rhash[r] * kHashPrime + object::ValueHash(col[r]);
+        rhash[r] = HashDirectory::Combine(rhash[r], object::ValueHash(col[r]));
       }
     }
 
@@ -999,11 +938,11 @@ Result<Executor::BatchAggResult> Executor::AccumulateAggregatesBatched(
       for (const Status& s : sts) EXODUS_RETURN_IF_ERROR(s);
     }
 
-    std::vector<uint32_t>& rg = res.row_group[t];
+    std::vector<uint32_t> rg;
     std::vector<AggAccum> accums;
     if (nranges == 1) {
-      // Single range: the partial IS the full aggregation (today's
-      // serial result, moved out without a merge pass).
+      // Single range: the partial IS the full aggregation, moved out
+      // without a merge pass.
       accums = std::move(partials[0].accums);
       rg = std::move(partials[0].row_group);
     } else {
@@ -1012,52 +951,27 @@ Result<Executor::BatchAggResult> Executor::AccumulateAggregatesBatched(
       // global group ids come out in first-occurrence order over all
       // rows — exactly the serial path's group numbering.
       std::vector<std::vector<Value>> gkey_cols(nover);
-      std::vector<size_t> ghash;
-      std::vector<int32_t> gnext;
-      size_t buckets = 64;
-      size_t mask = buckets - 1;
-      std::vector<int32_t> heads(buckets, -1);
+      HashDirectory groups;
       rg.reserve(b.rows);
       for (AggPartial& p : partials) {
         std::vector<uint32_t> l2g(p.accums.size());
         for (size_t lg = 0; lg < p.accums.size(); ++lg) {
-          const size_t h = p.ghash[lg];
-          int32_t g = -1;
-          for (int32_t e = heads[h & mask]; e >= 0; e = gnext[e]) {
-            if (ghash[e] != h) continue;
-            bool eq = true;
-            for (size_t o = 0; o < nover; ++o) {
-              if (!object::ValueEquals(gkey_cols[o][e], p.gkey_cols[o][lg])) {
-                eq = false;
-                break;
-              }
-            }
-            if (eq) {
-              g = e;
-              break;
-            }
-          }
-          if (g < 0) {
-            g = static_cast<int32_t>(accums.size());
+          const int32_t lge = static_cast<int32_t>(lg);
+          const auto [g, fresh] =
+              groups.FindOrInsert(p.groups.Hash(lge), [&](int32_t e) {
+                for (size_t o = 0; o < nover; ++o) {
+                  if (!object::ValueEquals(
+                          gkey_cols[o][static_cast<size_t>(e)],
+                          p.gkey_cols[o][lg])) {
+                    return false;
+                  }
+                }
+                return true;
+              });
+          if (fresh) {
             accums.emplace_back();
-            ghash.push_back(h);
-            gnext.push_back(-1);
             for (size_t o = 0; o < nover; ++o) {
               gkey_cols[o].push_back(std::move(p.gkey_cols[o][lg]));
-            }
-            if (accums.size() * 2 > buckets) {
-              buckets <<= 1;
-              mask = buckets - 1;
-              heads.assign(buckets, -1);
-              for (size_t e2 = ghash.size(); e2-- > 0;) {
-                const size_t bidx = ghash[e2] & mask;
-                gnext[e2] = heads[bidx];
-                heads[bidx] = static_cast<int32_t>(e2);
-              }
-            } else {
-              const size_t bidx = h & mask;
-              gnext[g] = heads[bidx];
-              heads[bidx] = g;
             }
           }
           l2g[lg] = static_cast<uint32_t>(g);
@@ -1076,16 +990,26 @@ Result<Executor::BatchAggResult> Executor::AccumulateAggregatesBatched(
       }
     }
 
-    res.finished[t].reserve(accums.size());
+    std::vector<Value> finished;
+    finished.reserve(accums.size());
     for (const AggAccum& acc : accums) {
       EXODUS_ASSIGN_OR_RETURN(Value v, FinishAggregate(*node, acc));
-      res.finished[t].push_back(std::move(v));
+      finished.push_back(std::move(v));
     }
-    AggAccum empty;
-    EXODUS_ASSIGN_OR_RETURN(Value ev, FinishAggregate(*node, empty));
-    res.empty_finished[t] = std::move(ev);
+    std::vector<Value>& col = result[t];
+    if (one_row) {
+      // All bindings form one group; without bindings it is empty.
+      if (finished.empty()) {
+        EXODUS_ASSIGN_OR_RETURN(Value ev, FinishAggregate(*node, AggAccum{}));
+        finished.push_back(std::move(ev));
+      }
+      col.push_back(std::move(finished[0]));
+    } else {
+      col.reserve(b.rows);
+      for (uint32_t g : rg) col.push_back(finished[g]);
+    }
   }
-  return res;
+  return result;
 }
 
 }  // namespace exodus::excess

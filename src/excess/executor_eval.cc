@@ -634,9 +634,9 @@ Result<Value> Executor::FinishAggregate(const Expr& agg,
 
 Result<Value> Executor::EvalAggregate(const Expr& expr, Env* env) {
   // Query-level aggregates were precomputed by ExecRetrieve.
-  if (agg_override_ != nullptr) {
-    auto it = agg_override_->find(&expr);
-    if (it != agg_override_->end()) return it->second;
+  if (agg_cols_ != nullptr) {
+    const std::vector<Value>* col = agg_cols_->Find(&expr);
+    if (col != nullptr) return (*col)[agg_cols_->row];
   }
 
   AggAccum acc;

@@ -26,6 +26,21 @@ class ScopedUser {
   std::string saved_;
 };
 
+/// Sets `*slot` to `value` for the guard's lifetime, then restores the
+/// previous value (the statement's current query, aggregate columns).
+template <typename T>
+class ScopedValue {
+ public:
+  ScopedValue(T* slot, T value) : slot_(slot), saved_(*slot) { *slot_ = value; }
+  ~ScopedValue() { *slot_ = saved_; }
+  ScopedValue(const ScopedValue&) = delete;
+  ScopedValue& operator=(const ScopedValue&) = delete;
+
+ private:
+  T* slot_;
+  T saved_;
+};
+
 /// Recursion guard for EXCESS function / procedure invocation.
 inline constexpr int kMaxCallDepth = 128;
 

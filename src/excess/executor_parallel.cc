@@ -5,7 +5,7 @@
 // local Executor/Env state, sharing the statement's snapshot epoch and
 // eagerly-built read-only join tables. Pipeline breakers merge single-
 // threaded: per-worker partial aggregates in executor_batch.cc, and
-// per-morsel output buffers concatenated in morsel order here so row
+// per-morsel output columns concatenated in morsel order here so row
 // order matches the serial path bit for bit. With exec_threads = 1 the
 // scheduler declines every statement, which makes the serial pipeline
 // the differential oracle for this file.
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <thread>
 
@@ -65,9 +66,9 @@ void Executor::RunOnWorkers(int total, const std::function<void(int)>& fn) {
   cv.wait(lk, [&pending] { return pending == 0; });
 }
 
-Result<bool> Executor::TryRunPlanParallel(
-    const Plan& plan, const BoundQuery& query, Env* env,
-    const RowEmit& emit, std::vector<std::vector<Value>>* out_rows) {
+Result<bool> Executor::TryRunPlanParallel(const Plan& plan,
+                                          const BoundQuery& query, Env* env,
+                                          const RowEmit& emit, RowBatch* out) {
   const int workers = ResolveExecThreads();
   if (workers <= 1 || ctx_->exec_pool == nullptr || ctx_->call_depth > 0) {
     return false;
@@ -116,10 +117,14 @@ Result<bool> Executor::TryRunPlanParallel(
     run_stats_.steps[s].build_rows = tables[s].elements.size();
   }
 
+  // One output buffer per morsel, shaped like `out` (the sink appends
+  // to existing columns).
+  std::vector<RowBatch> morsel_out(mcount);
+  for (RowBatch& mo : morsel_out) mo.cols.resize(out->cols.size());
+
   const PlanStep& step0 = plan.steps[0];
   const std::vector<std::string> names0 = {step0.var_name};
 
-  std::vector<std::vector<std::vector<Value>>> morsel_rows(mcount);
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
   std::mutex err_mu;
@@ -151,9 +156,9 @@ Result<bool> Executor::TryRunPlanParallel(
     auto run_morsel = [&](size_t m) -> Status {
       const size_t lo = m * cap;
       const size_t hi = std::min(n, lo + cap);
-      std::vector<std::vector<Value>>* out = &morsel_rows[m];
+      RowBatch* mout = &morsel_out[m];
       BatchSink sink = [&](RowBatch& b) -> Status {
-        return emit(&wexec, &wenv, b, out);
+        return emit(&wexec, &wenv, b, mout);
       };
       StepRuntime& srt0 = wexec.run_stats_.steps[0];
       srt0.invocations += 1;
@@ -248,15 +253,20 @@ Result<bool> Executor::TryRunPlanParallel(
   }
   if (first_err_morsel != static_cast<size_t>(-1)) return first_err;
 
-  // Order-stable concatenation: morsel buffers in morsel order equal
+  // Order-stable concatenation: morsel columns in morsel order equal
   // the serial path's output order exactly (same batch boundaries, same
   // per-batch expansion, just distributed).
   size_t total_rows = 0;
-  for (const auto& mr : morsel_rows) total_rows += mr.size();
-  out_rows->reserve(out_rows->size() + total_rows);
-  for (auto& mr : morsel_rows) {
-    for (auto& row : mr) out_rows->push_back(std::move(row));
+  for (const RowBatch& mo : morsel_out) total_rows += mo.rows;
+  for (size_t c = 0; c < out->cols.size(); ++c) {
+    std::vector<Value>& dst = out->cols[c];
+    dst.reserve(dst.size() + total_rows);
+    for (RowBatch& mo : morsel_out) {
+      dst.insert(dst.end(), std::make_move_iterator(mo.cols[c].begin()),
+                 std::make_move_iterator(mo.cols[c].end()));
+    }
   }
+  out->rows += total_rows;
   return true;
 }
 

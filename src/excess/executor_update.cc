@@ -35,6 +35,19 @@ inline Status EscalateStatus() {
       "statement touches state outside its latched extent (escalating)");
 }
 
+/// Object `oid` opened for writing: the statement txn's staged version
+/// under a snapshot txn, the object itself in exclusive contexts
+/// (GetForWrite without a txn is Get). Null when the object is gone;
+/// EscalateStatus() when the write must re-run under the exclusive lock.
+Result<object::HeapObject*> WritableObject(ExecContext* ctx, Oid oid) {
+  object::HeapObject* obj = ctx->heap->GetForWrite(oid, HeapTxn(ctx));
+  if (obj == nullptr && ctx->txn != nullptr &&
+      ctx->txn->heap.needs_escalation) {
+    return EscalateStatus();
+  }
+  return obj;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -353,14 +366,9 @@ Result<Executor::LValue> Executor::ResolveLValue(const Expr& expr, Env* env) {
     // Dereference a reference before navigating into it.
     if (current.kind() == ValueKind::kRef) {
       Oid oid = current.AsRef();
-      object::HeapObject* obj =
-          ctx_->txn != nullptr
-              ? ctx_->heap->GetForWrite(oid, &ctx_->txn->heap)
-              : ctx_->heap->Get(oid);
+      EXODUS_ASSIGN_OR_RETURN(object::HeapObject * obj,
+                              WritableObject(ctx_, oid));
       if (obj == nullptr) {
-        if (ctx_->txn != nullptr && ctx_->txn->heap.needs_escalation) {
-          return EscalateStatus();
-        }
         return Status::NotFound("path traverses a deleted object");
       }
       lv.owner = oid;
@@ -453,184 +461,177 @@ Result<Executor::LValue> Executor::ResolveLValue(const Expr& expr, Env* env) {
 }
 
 // ---------------------------------------------------------------------------
+// Binding enumeration
+// ---------------------------------------------------------------------------
+
+Status Executor::ForEachBinding(
+    const Plan& plan, const BoundQuery& query, Env* env,
+    const std::function<Status(const RowBatch&, size_t)>& body) {
+  internal::ScopedValue<const BoundQuery*> scope(&current_query_, &query);
+  // Enumerate every binding before the first mutation, so an update
+  // never observes its own effects.
+  EXODUS_ASSIGN_OR_RETURN(RowBatch b, MaterializeRows(plan, query, env));
+  std::vector<std::string> names;
+  for (const BoundVar& v : query.vars) names.push_back(v.name);
+  return ForEachRow(names, b, env, [&](size_t r) { return body(b, r); });
+}
+
+// ---------------------------------------------------------------------------
 // Append
 // ---------------------------------------------------------------------------
 
 Result<QueryResult> Executor::ExecAppend(const Stmt& stmt,
                                          const BoundQuery& query,
                                          const Plan& plan, Env* env) {
-  const BoundQuery* saved = current_query_;
-  current_query_ = &query;
-  struct R {
-    Executor* e;
-    const BoundQuery* s;
-    ~R() { e->current_query_ = s; }
-  } restore{this, saved};
-
-  EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                          MaterializeRows(plan, query, env));
-
   size_t appended = 0;
-  for (const auto& row : rows) {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) {
-      env->stack.emplace_back(query.vars[vi].name, row[vi]);
-    }
-    auto one = [&]() -> Status {
-      EXODUS_ASSIGN_OR_RETURN(LValue target, ResolveLValue(*stmt.target, env));
-      if (!target.extent.empty()) {
-        EXODUS_RETURN_IF_ERROR(
-            CheckNamedPrivilege(target.extent, auth::Privilege::kAppend));
-      }
-      const Type* container_type = target.declared_type;
-      const Type* elem_type = container_type != nullptr
-                                  ? container_type->element_type()
-                                  : nullptr;
-
-      Value* container = target.slot;
-      bool is_set = container->kind() == ValueKind::kSet;
-      bool is_array = container->kind() == ValueKind::kArray;
-      if (!is_set && !is_array) {
-        return Status::TypeError("append target is not a set or array");
-      }
-      if (is_array && container_type != nullptr &&
-          container_type->is_fixed_array()) {
-        return Status::TypeError(
-            "cannot append to a fixed-length array; assign to a slot");
-      }
-
-      Value element;
-      Oid new_oid = object::kInvalidOid;
-      if (!stmt.assigns.empty() || stmt.value == nullptr) {
-        // Assignment-list form, including the empty `()` all-defaults
-        // element.
-        const Type* tuple_type = nullptr;
-        bool as_object = false;
-        if (elem_type != nullptr && elem_type->is_tuple()) {
-          tuple_type = elem_type;
-        } else if (elem_type != nullptr && elem_type->is_ref() &&
-                   elem_type->owned()) {
-          tuple_type = elem_type->target();
-          as_object = true;
-        } else if (elem_type != nullptr && elem_type->is_ref()) {
-          return Status::TypeError(
-              "cannot construct into a set of plain references; append an "
-              "existing reference instead");
-        } else {
-          return Status::TypeError(
-              "cannot construct a tuple element here: element type is not "
-              "a tuple");
+  EXODUS_RETURN_IF_ERROR(ForEachBinding(
+      plan, query, env, [&](const RowBatch&, size_t) -> Status {
+        EXODUS_ASSIGN_OR_RETURN(LValue target,
+                                ResolveLValue(*stmt.target, env));
+        if (!target.extent.empty()) {
+          EXODUS_RETURN_IF_ERROR(
+              CheckNamedPrivilege(target.extent, auth::Privilege::kAppend));
         }
-        EXODUS_ASSIGN_OR_RETURN(std::vector<Value> fields,
-                                BuildFields(tuple_type, stmt.assigns, env));
-        if (as_object) {
-          if (!target.extent.empty()) {
-            EXODUS_RETURN_IF_ERROR(CheckKeyUnique(
-                target.extent,
-                KeyValuesOf(target.extent, tuple_type, fields),
-                object::kInvalidOid));
+        const Type* container_type = target.declared_type;
+        const Type* elem_type = container_type != nullptr
+                                    ? container_type->element_type()
+                                    : nullptr;
+
+        Value* container = target.slot;
+        bool is_set = container->kind() == ValueKind::kSet;
+        bool is_array = container->kind() == ValueKind::kArray;
+        if (!is_set && !is_array) {
+          return Status::TypeError("append target is not a set or array");
+        }
+        if (is_array && container_type != nullptr &&
+            container_type->is_fixed_array()) {
+          return Status::TypeError(
+              "cannot append to a fixed-length array; assign to a slot");
+        }
+
+        Value element;
+        Oid new_oid = object::kInvalidOid;
+        if (!stmt.assigns.empty() || stmt.value == nullptr) {
+          // Assignment-list form, including the empty `()` all-defaults
+          // element.
+          const Type* tuple_type = nullptr;
+          bool as_object = false;
+          if (elem_type != nullptr && elem_type->is_tuple()) {
+            tuple_type = elem_type;
+          } else if (elem_type != nullptr && elem_type->is_ref() &&
+                     elem_type->owned()) {
+            tuple_type = elem_type->target();
+            as_object = true;
+          } else if (elem_type != nullptr && elem_type->is_ref()) {
+            return Status::TypeError(
+                "cannot construct into a set of plain references; append an "
+                "existing reference instead");
+          } else {
+            return Status::TypeError(
+                "cannot construct a tuple element here: element type is not "
+                "a tuple");
           }
-          new_oid = ctx_->heap->Allocate(tuple_type, std::move(fields),
-                                         HeapTxn(ctx_));
-          const object::HeapObject* obj = ReadObject(new_oid);
-          const auto& attrs = tuple_type->attributes();
-          for (size_t i = 0; i < attrs.size(); ++i) {
+          EXODUS_ASSIGN_OR_RETURN(std::vector<Value> fields,
+                                  BuildFields(tuple_type, stmt.assigns, env));
+          if (as_object) {
+            if (!target.extent.empty()) {
+              EXODUS_RETURN_IF_ERROR(CheckKeyUnique(
+                  target.extent,
+                  KeyValuesOf(target.extent, tuple_type, fields),
+                  object::kInvalidOid));
+            }
+            new_oid = ctx_->heap->Allocate(tuple_type, std::move(fields),
+                                           HeapTxn(ctx_));
+            const object::HeapObject* obj = ReadObject(new_oid);
+            const auto& attrs = tuple_type->attributes();
+            for (size_t i = 0; i < attrs.size(); ++i) {
+              EXODUS_RETURN_IF_ERROR(
+                  OwnChildren(attrs[i].type, obj->fields[i], new_oid));
+            }
             EXODUS_RETURN_IF_ERROR(
-                OwnChildren(attrs[i].type, obj->fields[i], new_oid));
+                ctx_->heap->SetOwned(new_oid, target.owner, HeapTxn(ctx_)));
+            element = Value::Ref(new_oid);
+          } else {
+            element = Value::MakeTuple(tuple_type, std::move(fields));
+            EXODUS_RETURN_IF_ERROR(
+                OwnChildren(tuple_type, element, target.owner));
           }
-          EXODUS_RETURN_IF_ERROR(
-              ctx_->heap->SetOwned(new_oid, target.owner, HeapTxn(ctx_)));
-          element = Value::Ref(new_oid);
         } else {
-          element = Value::MakeTuple(tuple_type, std::move(fields));
-          EXODUS_RETURN_IF_ERROR(
-              OwnChildren(tuple_type, element, target.owner));
-        }
-      } else {
-        // Value form.
-        EXODUS_ASSIGN_OR_RETURN(element,
-                                BuildValue(*stmt.value, elem_type, env));
-        if (element.is_null()) return Status::OK();  // appending null: no-op
-        if (!target.extent.empty() && element.kind() == ValueKind::kRef) {
-          const object::HeapObject* cand = ReadObject(element.AsRef());
-          if (cand != nullptr) {
-            EXODUS_RETURN_IF_ERROR(CheckKeyUnique(
-                target.extent,
-                KeyValuesOf(target.extent, cand->type, cand->fields),
-                element.AsRef()));
-          }
-        }
-        if (elem_type != nullptr && elem_type->is_ref() &&
-            elem_type->owned() && element.kind() == ValueKind::kRef) {
-          // Ownership transfer into an own-ref collection. "Already
-          // owned by this exact container" requires matching owner
-          // object AND extent (two named extents both have owner oid 0).
-          const object::HeapObject* obj = ReadObject(element.AsRef());
-          if (obj != nullptr) {
-            bool same_owner = obj->owned &&
-                              obj->owner_object == target.owner &&
-                              obj->owner_extent == target.extent;
-            if (!same_owner) {
-              EXODUS_RETURN_IF_ERROR(ctx_->heap->SetOwned(
-                  element.AsRef(), target.owner, HeapTxn(ctx_)));
+          // Value form.
+          EXODUS_ASSIGN_OR_RETURN(element,
+                                  BuildValue(*stmt.value, elem_type, env));
+          if (element.is_null()) return Status::OK();  // appending null: no-op
+          if (!target.extent.empty() && element.kind() == ValueKind::kRef) {
+            const object::HeapObject* cand = ReadObject(element.AsRef());
+            if (cand != nullptr) {
+              EXODUS_RETURN_IF_ERROR(CheckKeyUnique(
+                  target.extent,
+                  KeyValuesOf(target.extent, cand->type, cand->fields),
+                  element.AsRef()));
             }
           }
-          new_oid = element.AsRef();
-        } else if (elem_type == nullptr || !elem_type->is_ref()) {
-          EXODUS_RETURN_IF_ERROR(
-              OwnChildren(elem_type, element, target.owner));
-        }
-        if (element.kind() == ValueKind::kRef) new_oid = element.AsRef();
-      }
-
-      bool inserted;
-      bool freshly_allocated =
-          new_oid != object::kInvalidOid &&
-          (!stmt.assigns.empty() ||
-           (stmt.value != nullptr &&
-            stmt.value->kind == ExprKind::kTupleLit));
-      if (is_set) {
-        if (freshly_allocated) {
-          // A freshly allocated object can never be a duplicate.
-          container->mutable_set()->elems.push_back(element);
-          inserted = true;
-        } else {
-          inserted = object::SetInsert(container->mutable_set(), element);
-        }
-      } else {
-        container->mutable_array()->elems.push_back(element);
-        inserted = true;
-      }
-      if (inserted) {
-        ++appended;
-        // Tag extent membership and maintain indexes on named extents.
-        if (!target.extent.empty() && new_oid != object::kInvalidOid) {
-          object::HeapObject* obj =
-              ctx_->txn != nullptr
-                  ? ctx_->heap->GetForWrite(new_oid, &ctx_->txn->heap)
-                  : ctx_->heap->Get(new_oid);
-          if (obj == nullptr && ctx_->txn != nullptr &&
-              ctx_->txn->heap.needs_escalation) {
-            return EscalateStatus();
+          if (elem_type != nullptr && elem_type->is_ref() &&
+              elem_type->owned() && element.kind() == ValueKind::kRef) {
+            // Ownership transfer into an own-ref collection. "Already
+            // owned by this exact container" requires matching owner
+            // object AND extent (two named extents both have owner oid 0).
+            const object::HeapObject* obj = ReadObject(element.AsRef());
+            if (obj != nullptr) {
+              bool same_owner = obj->owned &&
+                                obj->owner_object == target.owner &&
+                                obj->owner_extent == target.extent;
+              if (!same_owner) {
+                EXODUS_RETURN_IF_ERROR(ctx_->heap->SetOwned(
+                    element.AsRef(), target.owner, HeapTxn(ctx_)));
+              }
+            }
+            new_oid = element.AsRef();
+          } else if (elem_type == nullptr || !elem_type->is_ref()) {
+            EXODUS_RETURN_IF_ERROR(
+                OwnChildren(elem_type, element, target.owner));
           }
-          if (obj != nullptr) {
-            obj->owner_extent = target.extent;
-            for (index::IndexInfo* idx :
-                 ctx_->indexes->IndexesOn(target.extent)) {
-              int ai = obj->type->AttributeIndex(idx->attr);
-              if (ai >= 0) {
-                IndexInsert(target.extent, idx->attr,
-                            obj->fields[static_cast<size_t>(ai)], new_oid);
+          if (element.kind() == ValueKind::kRef) new_oid = element.AsRef();
+        }
+
+        bool inserted;
+        bool freshly_allocated =
+            new_oid != object::kInvalidOid &&
+            (!stmt.assigns.empty() ||
+             (stmt.value != nullptr &&
+              stmt.value->kind == ExprKind::kTupleLit));
+        if (is_set) {
+          if (freshly_allocated) {
+            // A freshly allocated object can never be a duplicate.
+            container->mutable_set()->elems.push_back(element);
+            inserted = true;
+          } else {
+            inserted = object::SetInsert(container->mutable_set(), element);
+          }
+        } else {
+          container->mutable_array()->elems.push_back(element);
+          inserted = true;
+        }
+        if (inserted) {
+          ++appended;
+          // Tag extent membership and maintain indexes on named extents.
+          if (!target.extent.empty() && new_oid != object::kInvalidOid) {
+            EXODUS_ASSIGN_OR_RETURN(object::HeapObject * obj,
+                                    WritableObject(ctx_, new_oid));
+            if (obj != nullptr) {
+              obj->owner_extent = target.extent;
+              for (index::IndexInfo* idx :
+                   ctx_->indexes->IndexesOn(target.extent)) {
+                int ai = obj->type->AttributeIndex(idx->attr);
+                if (ai >= 0) {
+                  IndexInsert(target.extent, idx->attr,
+                              obj->fields[static_cast<size_t>(ai)], new_oid);
+                }
               }
             }
           }
         }
-      }
-      return Status::OK();
-    };
-    Status st = one();
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
-    EXODUS_RETURN_IF_ERROR(st);
-  }
+        return Status::OK();
+      }));
 
   QueryResult result;
   result.affected = appended;
@@ -645,14 +646,6 @@ Result<QueryResult> Executor::ExecAppend(const Stmt& stmt,
 Result<QueryResult> Executor::ExecDelete(const Stmt& stmt,
                                          const BoundQuery& query,
                                          const Plan& plan, Env* env) {
-  const BoundQuery* saved = current_query_;
-  current_query_ = &query;
-  struct R {
-    Executor* e;
-    const BoundQuery* s;
-    ~R() { e->current_query_ = s; }
-  } restore{this, saved};
-
   auto vit = query.var_ids.find(stmt.update_var);
   if (vit == query.var_ids.end()) {
     return Status::TypeError("'" + stmt.update_var +
@@ -664,91 +657,81 @@ Result<QueryResult> Executor::ExecDelete(const Stmt& stmt,
                                                auth::Privilege::kDelete));
   }
 
-  EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                          MaterializeRows(plan, query, env));
-
   size_t deleted = 0;
-  for (const auto& row : rows) {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) {
-      env->stack.emplace_back(query.vars[vi].name, row[vi]);
-    }
-    auto one = [&]() -> Status {
-      // Locate the container this binding came from.
-      Value* container = nullptr;
-      const Type* container_type = nullptr;
-      std::string extent;
-      if (victim_var.is_root) {
-        extra::NamedObject* named =
-            ctx_->catalog->FindNamed(victim_var.named_collection);
-        if (named == nullptr) return Status::OK();
-        container = MutableNamedValue(named);
-        container_type = named->type;
-        extent = victim_var.named_collection;
-      } else {
-        auto lv = ResolveLValue(*victim_var.range, env);
-        if (!lv.ok()) return Status::OK();  // parent already deleted
-        container = lv->slot;
-        container_type = lv->declared_type;
-      }
-
-      const Value& elem = row[static_cast<size_t>(vit->second)];
-      const Type* elem_type = container_type != nullptr
-                                  ? container_type->element_type()
-                                  : nullptr;
-
-      // Remove from the container.
-      bool removed = false;
-      if (container->kind() == ValueKind::kSet) {
-        removed = object::SetErase(container->mutable_set(), elem);
-      } else if (container->kind() == ValueKind::kArray) {
-        auto& elems = container->mutable_array()->elems;
-        for (size_t i = 0; i < elems.size(); ++i) {
-          if (object::ValueEquals(elems[i], elem)) {
-            if (container_type != nullptr &&
-                container_type->is_fixed_array()) {
-              elems[i] = Value::Null();
-            } else {
-              elems.erase(elems.begin() + static_cast<ptrdiff_t>(i));
-            }
-            removed = true;
-            break;
-          }
-        }
-      }
-      if (!removed) return Status::OK();  // already gone
-      ++deleted;
-
-      // Index maintenance before destroying the object.
-      if (!extent.empty() && elem.kind() == ValueKind::kRef) {
-        const object::HeapObject* obj = ReadObject(elem.AsRef());
-        if (obj != nullptr) {
-          for (index::IndexInfo* idx : ctx_->indexes->IndexesOn(extent)) {
-            int ai = obj->type->AttributeIndex(idx->attr);
-            if (ai >= 0) {
-              IndexErase(extent, idx->attr,
-                         obj->fields[static_cast<size_t>(ai)], elem.AsRef());
-            }
-          }
-        }
-      }
-
-      // Destroy identity-bearing owned elements (cascade).
-      if (elem.kind() == ValueKind::kRef) {
-        bool destroy;
-        if (elem_type != nullptr && elem_type->is_ref()) {
-          destroy = elem_type->owned();
+  EXODUS_RETURN_IF_ERROR(ForEachBinding(
+      plan, query, env, [&](const RowBatch& b, size_t r) -> Status {
+        // Locate the container this binding came from.
+        Value* container = nullptr;
+        const Type* container_type = nullptr;
+        std::string extent;
+        if (victim_var.is_root) {
+          extra::NamedObject* named =
+              ctx_->catalog->FindNamed(victim_var.named_collection);
+          if (named == nullptr) return Status::OK();
+          container = MutableNamedValue(named);
+          container_type = named->type;
+          extent = victim_var.named_collection;
         } else {
-          const object::HeapObject* obj = ReadObject(elem.AsRef());
-          destroy = obj != nullptr && obj->owned;
+          auto lv = ResolveLValue(*victim_var.range, env);
+          if (!lv.ok()) return Status::OK();  // parent already deleted
+          container = lv->slot;
+          container_type = lv->declared_type;
         }
-        if (destroy) ctx_->heap->Delete(elem.AsRef(), HeapTxn(ctx_));
-      }
-      return Status::OK();
-    };
-    Status st = one();
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
-    EXODUS_RETURN_IF_ERROR(st);
-  }
+
+        const Value& elem = b.cols[static_cast<size_t>(vit->second)][r];
+        const Type* elem_type = container_type != nullptr
+                                    ? container_type->element_type()
+                                    : nullptr;
+
+        // Remove from the container.
+        bool removed = false;
+        if (container->kind() == ValueKind::kSet) {
+          removed = object::SetErase(container->mutable_set(), elem);
+        } else if (container->kind() == ValueKind::kArray) {
+          auto& elems = container->mutable_array()->elems;
+          for (size_t i = 0; i < elems.size(); ++i) {
+            if (object::ValueEquals(elems[i], elem)) {
+              if (container_type != nullptr &&
+                  container_type->is_fixed_array()) {
+                elems[i] = Value::Null();
+              } else {
+                elems.erase(elems.begin() + static_cast<ptrdiff_t>(i));
+              }
+              removed = true;
+              break;
+            }
+          }
+        }
+        if (!removed) return Status::OK();  // already gone
+        ++deleted;
+
+        // Index maintenance before destroying the object.
+        if (!extent.empty() && elem.kind() == ValueKind::kRef) {
+          const object::HeapObject* obj = ReadObject(elem.AsRef());
+          if (obj != nullptr) {
+            for (index::IndexInfo* idx : ctx_->indexes->IndexesOn(extent)) {
+              int ai = obj->type->AttributeIndex(idx->attr);
+              if (ai >= 0) {
+                IndexErase(extent, idx->attr,
+                           obj->fields[static_cast<size_t>(ai)], elem.AsRef());
+              }
+            }
+          }
+        }
+
+        // Destroy identity-bearing owned elements (cascade).
+        if (elem.kind() == ValueKind::kRef) {
+          bool destroy;
+          if (elem_type != nullptr && elem_type->is_ref()) {
+            destroy = elem_type->owned();
+          } else {
+            const object::HeapObject* obj = ReadObject(elem.AsRef());
+            destroy = obj != nullptr && obj->owned;
+          }
+          if (destroy) ctx_->heap->Delete(elem.AsRef(), HeapTxn(ctx_));
+        }
+        return Status::OK();
+      }));
 
   QueryResult result;
   result.affected = deleted;
@@ -763,14 +746,6 @@ Result<QueryResult> Executor::ExecDelete(const Stmt& stmt,
 Result<QueryResult> Executor::ExecReplace(const Stmt& stmt,
                                           const BoundQuery& query,
                                           const Plan& plan, Env* env) {
-  const BoundQuery* saved = current_query_;
-  current_query_ = &query;
-  struct R {
-    Executor* e;
-    const BoundQuery* s;
-    ~R() { e->current_query_ = s; }
-  } restore{this, saved};
-
   auto vit = query.var_ids.find(stmt.update_var);
   bool param_victim = vit == query.var_ids.end();
   const Value* param_value = nullptr;
@@ -789,129 +764,111 @@ Result<QueryResult> Executor::ExecReplace(const Stmt& stmt,
     }
   }
 
-  EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                          MaterializeRows(plan, query, env));
-  if (query.vars.empty() && rows.empty()) rows.push_back({});
-
   size_t replaced = 0;
-  for (const auto& row : rows) {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) {
-      env->stack.emplace_back(query.vars[vi].name, row[vi]);
-    }
-    auto one = [&]() -> Status {
-      const Value& v = param_victim
-                           ? *param_value
-                           : row[static_cast<size_t>(vit->second)];
+  EXODUS_RETURN_IF_ERROR(ForEachBinding(
+      plan, query, env, [&](const RowBatch& b, size_t r) -> Status {
+        const Value& v = param_victim
+                             ? *param_value
+                             : b.cols[static_cast<size_t>(vit->second)][r];
 
-      const Type* type = nullptr;
-      std::vector<Value>* fields = nullptr;
-      Oid oid = object::kInvalidOid;
-      std::string extent;
-      if (v.kind() == ValueKind::kRef) {
-        object::HeapObject* obj =
-            ctx_->txn != nullptr
-                ? ctx_->heap->GetForWrite(v.AsRef(), &ctx_->txn->heap)
-                : ctx_->heap->Get(v.AsRef());
-        if (obj == nullptr) {
-          if (ctx_->txn != nullptr && ctx_->txn->heap.needs_escalation) {
+        const Type* type = nullptr;
+        std::vector<Value>* fields = nullptr;
+        Oid oid = object::kInvalidOid;
+        std::string extent;
+        if (v.kind() == ValueKind::kRef) {
+          EXODUS_ASSIGN_OR_RETURN(object::HeapObject * obj,
+                                  WritableObject(ctx_, v.AsRef()));
+          if (obj == nullptr) return Status::OK();  // deleted meanwhile
+          type = obj->type;
+          fields = &obj->fields;
+          oid = v.AsRef();
+          extent = obj->owner_extent;
+          if (param_victim && !extent.empty()) {
+            EXODUS_RETURN_IF_ERROR(
+                CheckNamedPrivilege(extent, auth::Privilege::kReplace));
+          }
+        } else if (v.kind() == ValueKind::kTuple) {
+          if (ctx_->txn != nullptr) {
+            // The tuple payload is shared with the committed version;
+            // replacing fields in place requires the exclusive lock.
+            ctx_->txn->heap.needs_escalation = true;
             return EscalateStatus();
           }
-          return Status::OK();  // deleted meanwhile
+          object::TupleData* td =
+              const_cast<Value&>(v).mutable_tuple();
+          type = td->type;
+          fields = &td->fields;
+        } else {
+          return Status::TypeError(
+              "replace requires an object or tuple element");
         }
-        type = obj->type;
-        fields = &obj->fields;
-        oid = v.AsRef();
-        extent = obj->owner_extent;
-        if (param_victim && !extent.empty()) {
-          EXODUS_RETURN_IF_ERROR(
-              CheckNamedPrivilege(extent, auth::Privilege::kReplace));
+        if (type == nullptr) {
+          return Status::TypeError("cannot replace an untyped tuple");
         }
-      } else if (v.kind() == ValueKind::kTuple) {
-        if (ctx_->txn != nullptr) {
-          // The tuple payload is shared with the committed version;
-          // replacing fields in place requires the exclusive lock.
-          ctx_->txn->heap.needs_escalation = true;
-          return EscalateStatus();
-        }
-        object::TupleData* td =
-            const_cast<Value&>(v).mutable_tuple();
-        type = td->type;
-        fields = &td->fields;
-      } else {
-        return Status::TypeError(
-            "replace requires an object or tuple element");
-      }
-      if (type == nullptr) {
-        return Status::TypeError("cannot replace an untyped tuple");
-      }
 
-      for (const Assignment& assign : stmt.assigns) {
-        int idx = type->AttributeIndex(assign.attr);
-        if (idx < 0) {
-          return Status::NotFound("type " + type->name() +
-                                  " has no attribute '" + assign.attr + "'");
-        }
-        const Type* attr_type =
-            type->attributes()[static_cast<size_t>(idx)].type;
-        EXODUS_ASSIGN_OR_RETURN(Value nv,
-                                BuildValue(*assign.value, attr_type, env));
-
-        Value& slot = (*fields)[static_cast<size_t>(idx)];
-
-        // Key enforcement: a key attribute may not collide with another
-        // member's key after the update.
-        if (!extent.empty()) {
-          const extra::NamedObject* named_ext =
-              ctx_->catalog->FindNamed(extent);
-          if (named_ext != nullptr &&
-              std::find(named_ext->key_attrs.begin(),
-                        named_ext->key_attrs.end(),
-                        assign.attr) != named_ext->key_attrs.end()) {
-            std::vector<Value> key = KeyValuesOf(extent, type, *fields);
-            for (size_t ki = 0; ki < named_ext->key_attrs.size(); ++ki) {
-              if (named_ext->key_attrs[ki] == assign.attr) key[ki] = nv;
-            }
-            EXODUS_RETURN_IF_ERROR(CheckKeyUnique(extent, key, oid));
+        for (const Assignment& assign : stmt.assigns) {
+          int idx = type->AttributeIndex(assign.attr);
+          if (idx < 0) {
+            return Status::NotFound("type " + type->name() +
+                                    " has no attribute '" + assign.attr + "'");
           }
-        }
+          const Type* attr_type =
+              type->attributes()[static_cast<size_t>(idx)].type;
+          EXODUS_ASSIGN_OR_RETURN(Value nv,
+                                  BuildValue(*assign.value, attr_type, env));
 
-        // Index maintenance on the extent the object belongs to.
-        if (!extent.empty() && oid != object::kInvalidOid) {
-          IndexErase(extent, assign.attr, slot, oid);
-        }
+          Value& slot = (*fields)[static_cast<size_t>(idx)];
 
-        // Own-ref attribute replacement destroys the old component and
-        // takes ownership of the new one (composite-object semantics).
-        if (attr_type != nullptr && attr_type->is_ref() &&
-            attr_type->owned()) {
-          if (slot.kind() == ValueKind::kRef &&
-              (nv.kind() != ValueKind::kRef || nv.AsRef() != slot.AsRef())) {
-            ctx_->heap->Delete(slot.AsRef(), HeapTxn(ctx_));
-          }
-          if (nv.kind() == ValueKind::kRef) {
-            const object::HeapObject* child = ReadObject(nv.AsRef());
-            if (child != nullptr &&
-                !(child->owned && child->owner_object == oid)) {
-              EXODUS_RETURN_IF_ERROR(
-                  ctx_->heap->SetOwned(nv.AsRef(), oid, HeapTxn(ctx_)));
+          // Key enforcement: a key attribute may not collide with another
+          // member's key after the update.
+          if (!extent.empty()) {
+            const extra::NamedObject* named_ext =
+                ctx_->catalog->FindNamed(extent);
+            if (named_ext != nullptr &&
+                std::find(named_ext->key_attrs.begin(),
+                          named_ext->key_attrs.end(),
+                          assign.attr) != named_ext->key_attrs.end()) {
+              std::vector<Value> key = KeyValuesOf(extent, type, *fields);
+              for (size_t ki = 0; ki < named_ext->key_attrs.size(); ++ki) {
+                if (named_ext->key_attrs[ki] == assign.attr) key[ki] = nv;
+              }
+              EXODUS_RETURN_IF_ERROR(CheckKeyUnique(extent, key, oid));
             }
           }
-        } else if (attr_type != nullptr && !attr_type->is_ref()) {
-          EXODUS_RETURN_IF_ERROR(OwnChildren(attr_type, nv, oid));
-        }
 
-        slot = std::move(nv);
-        if (!extent.empty() && oid != object::kInvalidOid) {
-          IndexInsert(extent, assign.attr, slot, oid);
+          // Index maintenance on the extent the object belongs to.
+          if (!extent.empty() && oid != object::kInvalidOid) {
+            IndexErase(extent, assign.attr, slot, oid);
+          }
+
+          // Own-ref attribute replacement destroys the old component and
+          // takes ownership of the new one (composite-object semantics).
+          if (attr_type != nullptr && attr_type->is_ref() &&
+              attr_type->owned()) {
+            if (slot.kind() == ValueKind::kRef &&
+                (nv.kind() != ValueKind::kRef || nv.AsRef() != slot.AsRef())) {
+              ctx_->heap->Delete(slot.AsRef(), HeapTxn(ctx_));
+            }
+            if (nv.kind() == ValueKind::kRef) {
+              const object::HeapObject* child = ReadObject(nv.AsRef());
+              if (child != nullptr &&
+                  !(child->owned && child->owner_object == oid)) {
+                EXODUS_RETURN_IF_ERROR(
+                    ctx_->heap->SetOwned(nv.AsRef(), oid, HeapTxn(ctx_)));
+              }
+            }
+          } else if (attr_type != nullptr && !attr_type->is_ref()) {
+            EXODUS_RETURN_IF_ERROR(OwnChildren(attr_type, nv, oid));
+          }
+
+          slot = std::move(nv);
+          if (!extent.empty() && oid != object::kInvalidOid) {
+            IndexInsert(extent, assign.attr, slot, oid);
+          }
         }
-      }
-      ++replaced;
-      return Status::OK();
-    };
-    Status st = one();
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
-    EXODUS_RETURN_IF_ERROR(st);
-  }
+        ++replaced;
+        return Status::OK();
+      }));
 
   QueryResult result;
   result.affected = replaced;
@@ -926,60 +883,40 @@ Result<QueryResult> Executor::ExecReplace(const Stmt& stmt,
 Result<QueryResult> Executor::ExecAssign(const Stmt& stmt,
                                          const BoundQuery& query,
                                          const Plan& plan, Env* env) {
-  const BoundQuery* saved = current_query_;
-  current_query_ = &query;
-  struct R {
-    Executor* e;
-    const BoundQuery* s;
-    ~R() { e->current_query_ = s; }
-  } restore{this, saved};
-
-  EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                          MaterializeRows(plan, query, env));
-  // With no range variables at all, assign still executes once.
-  if (query.vars.empty() && rows.empty()) rows.push_back({});
-
   size_t assigned = 0;
-  for (const auto& row : rows) {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) {
-      env->stack.emplace_back(query.vars[vi].name, row[vi]);
-    }
-    auto one = [&]() -> Status {
-      EXODUS_ASSIGN_OR_RETURN(LValue lv, ResolveLValue(*stmt.target, env));
-      if (!lv.extent.empty()) {
-        // Replacing an entire extent would orphan its owned members and
-        // stale its indexes; mutate extents with append/delete instead.
-        return Status::TypeError(
-            "cannot assign an entire extent; use append/delete");
-      }
-      EXODUS_ASSIGN_OR_RETURN(Value nv,
-                              BuildValue(*stmt.value, lv.declared_type, env));
-      if (lv.declared_type != nullptr && lv.declared_type->is_ref() &&
-          lv.declared_type->owned()) {
-        if (lv.slot->kind() == ValueKind::kRef &&
-            (nv.kind() != ValueKind::kRef ||
-             nv.AsRef() != lv.slot->AsRef())) {
-          ctx_->heap->Delete(lv.slot->AsRef());
+  EXODUS_RETURN_IF_ERROR(ForEachBinding(
+      plan, query, env, [&](const RowBatch&, size_t) -> Status {
+        EXODUS_ASSIGN_OR_RETURN(LValue lv, ResolveLValue(*stmt.target, env));
+        if (!lv.extent.empty()) {
+          // Replacing an entire extent would orphan its owned members and
+          // stale its indexes; mutate extents with append/delete instead.
+          return Status::TypeError(
+              "cannot assign an entire extent; use append/delete");
         }
-        if (nv.kind() == ValueKind::kRef) {
-          const object::HeapObject* child = ctx_->heap->Get(nv.AsRef());
-          if (child != nullptr && !(child->owned &&
-                                    child->owner_object == lv.owner)) {
-            EXODUS_RETURN_IF_ERROR(
-                ctx_->heap->SetOwned(nv.AsRef(), lv.owner));
+        EXODUS_ASSIGN_OR_RETURN(Value nv,
+                                BuildValue(*stmt.value, lv.declared_type, env));
+        if (lv.declared_type != nullptr && lv.declared_type->is_ref() &&
+            lv.declared_type->owned()) {
+          if (lv.slot->kind() == ValueKind::kRef &&
+              (nv.kind() != ValueKind::kRef ||
+               nv.AsRef() != lv.slot->AsRef())) {
+            ctx_->heap->Delete(lv.slot->AsRef());
           }
+          if (nv.kind() == ValueKind::kRef) {
+            const object::HeapObject* child = ctx_->heap->Get(nv.AsRef());
+            if (child != nullptr && !(child->owned &&
+                                      child->owner_object == lv.owner)) {
+              EXODUS_RETURN_IF_ERROR(
+                  ctx_->heap->SetOwned(nv.AsRef(), lv.owner));
+            }
+          }
+        } else if (lv.declared_type != nullptr && !lv.declared_type->is_ref()) {
+          EXODUS_RETURN_IF_ERROR(OwnChildren(lv.declared_type, nv, lv.owner));
         }
-      } else if (lv.declared_type != nullptr && !lv.declared_type->is_ref()) {
-        EXODUS_RETURN_IF_ERROR(OwnChildren(lv.declared_type, nv, lv.owner));
-      }
-      *lv.slot = std::move(nv);
-      ++assigned;
-      return Status::OK();
-    };
-    Status st = one();
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
-    EXODUS_RETURN_IF_ERROR(st);
-  }
+        *lv.slot = std::move(nv);
+        ++assigned;
+        return Status::OK();
+      }));
 
   QueryResult result;
   result.affected = assigned;
@@ -1012,56 +949,37 @@ Result<QueryResult> Executor::ExecProcedureCall(const Stmt& stmt,
                               def->name + "'");
   }
 
-  const BoundQuery* saved = current_query_;
-  current_query_ = &query;
-  struct R {
-    Executor* e;
-    const BoundQuery* s;
-    ~R() { e->current_query_ = s; }
-  } restore{this, saved};
-
-  EXODUS_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                          MaterializeRows(plan, query, env));
   // A procedure with constant arguments executes exactly once; with a
   // where-clause it executes for all bindings (paper §4.2.2).
-  if (query.vars.empty() && rows.empty()) rows.push_back({});
-
   size_t invocations = 0;
   size_t total_affected = 0;
-  for (const auto& row : rows) {
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) {
-      env->stack.emplace_back(query.vars[vi].name, row[vi]);
-    }
-    auto one = [&]() -> Status {
-      ParamEnv params;
-      for (size_t i = 0; i < def->params.size(); ++i) {
-        EXODUS_ASSIGN_OR_RETURN(Value av, Eval(*stmt.call_args[i], env));
-        EXODUS_ASSIGN_OR_RETURN(
-            Value coerced, CoerceValue(std::move(av), def->params[i].second));
-        params.values[def->params[i].first] = std::move(coerced);
-        params.types[def->params[i].first] = def->params[i].second;
-      }
-      internal::ScopedUser scoped(
-          ctx_, def->definer.empty() ? ctx_->current_user : def->definer);
-      ++ctx_->call_depth;
-      Status st = Status::OK();
-      for (const StmtPtr& body_stmt : def->body) {
-        Executor inner(ctx_);
-        auto r = inner.Execute(*body_stmt, params);
-        if (!r.ok()) {
-          st = r.status();
-          break;
+  EXODUS_RETURN_IF_ERROR(ForEachBinding(
+      plan, query, env, [&](const RowBatch&, size_t) -> Status {
+        ParamEnv params;
+        for (size_t i = 0; i < def->params.size(); ++i) {
+          EXODUS_ASSIGN_OR_RETURN(Value av, Eval(*stmt.call_args[i], env));
+          EXODUS_ASSIGN_OR_RETURN(
+              Value coerced, CoerceValue(std::move(av), def->params[i].second));
+          params.values[def->params[i].first] = std::move(coerced);
+          params.types[def->params[i].first] = def->params[i].second;
         }
-        total_affected += r->affected;
-      }
-      --ctx_->call_depth;
-      return st;
-    };
-    Status st = one();
-    for (size_t vi = 0; vi < query.vars.size(); ++vi) env->stack.pop_back();
-    EXODUS_RETURN_IF_ERROR(st);
-    ++invocations;
-  }
+        internal::ScopedUser scoped(
+            ctx_, def->definer.empty() ? ctx_->current_user : def->definer);
+        ++ctx_->call_depth;
+        Status st = Status::OK();
+        for (const StmtPtr& body_stmt : def->body) {
+          Executor inner(ctx_);
+          auto r = inner.Execute(*body_stmt, params);
+          if (!r.ok()) {
+            st = r.status();
+            break;
+          }
+          total_affected += r->affected;
+        }
+        --ctx_->call_depth;
+        if (st.ok()) ++invocations;
+        return st;
+      }));
 
   QueryResult result;
   result.affected = total_affected;

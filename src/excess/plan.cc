@@ -102,6 +102,9 @@ std::string Plan::Explain(const PlanRuntime* runtime) const {
              " workers=" + std::to_string(runtime->parallel_workers) + ")";
     }
     out += "\n";
+    if (runtime->has_finish) {
+      out += "Finish: " + FormatNs(runtime->finish_ns) + "\n";
+    }
     if (runtime->clamped_batch_size > 0) {
       out += "Note: batch_size " + std::to_string(runtime->clamped_batch_size) +
              " clamped to " + std::to_string(SessionOptions::kMaxBatchSize) +

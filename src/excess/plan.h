@@ -134,6 +134,11 @@ struct PlanRuntime {
   uint64_t rows_out = 0;
   /// Unsampled wall time of the whole plan execution.
   uint64_t total_ns = 0;
+  /// Retrieves with a query-level aggregate, `sort by` or `unique`: the
+  /// wall time from the end of the pipeline to the finished result
+  /// (aggregation, sort, duplicate elimination, row build).
+  bool has_finish = false;
+  uint64_t finish_ns = 0;
   /// Morsel pipeline: morsels the driving scan was split into and the
   /// workers that claimed at least one (both 0 on the serial path).
   uint64_t morsels = 0;
@@ -147,6 +152,8 @@ struct PlanRuntime {
     steps.assign(step_count, StepRuntime{});
     rows_out = 0;
     total_ns = 0;
+    has_finish = false;
+    finish_ns = 0;
     morsels = 0;
     parallel_workers = 0;
     clamped_batch_size = 0;

@@ -69,6 +69,7 @@ class BatchExecTest : public ::testing::Test {
     for (int i = 0; i < 50; ++i) {
       std::ostringstream q;
       int dept = std::uniform_int_distribution<int>(0, 5)(rng);  // 5: none
+      dept_of_.push_back(dept);
       q << "append to Employees (id = " << i << ", name = \""
         << names[i % 5] << i << "\", salary = "
         << std::uniform_int_distribution<int>(0, 40)(rng) * 2.5
@@ -98,6 +99,50 @@ class BatchExecTest : public ::testing::Test {
     for (int i = 1; i <= 60; i += 3) {
       Must("assign Slots[" + std::to_string(i) + "] = " +
            std::to_string(i % 7));
+    }
+    CheckFixture();
+  }
+
+  // The appends above run through the engine under test (`from D in
+  // Departments` is planned), so a pipeline bug could corrupt the data
+  // both sides read. Check the fixture without running a plan: extents
+  // via Session::EvalExpression, members straight from the heap.
+  void CheckFixture() {
+    auto session = db_.CreateSession();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto eval = [&](const std::string& e) {
+      auto v = (*session)->EvalExpression(e);
+      EXPECT_TRUE(v.ok()) << e << "\n -> " << v.status().ToString();
+      return v.ok() ? *v : object::Value::Null();
+    };
+    ASSERT_EQ(eval("count(Departments)").ToString(), "5");
+    ASSERT_EQ(eval("count(Employees)").ToString(), "50");
+    ASSERT_EQ(eval("count(Empty)").ToString(), "0");
+    const object::Value emps = eval("Employees");
+    ASSERT_EQ(emps.kind(), object::ValueKind::kSet);
+    auto field = [](const object::HeapObject* obj, const std::string& attr) {
+      return obj->fields[static_cast<size_t>(
+          obj->type->AttributeIndex(attr))];
+    };
+    std::vector<bool> seen(dept_of_.size(), false);
+    for (const object::Value& ref : emps.set().elems) {
+      const object::HeapObject* e = db_.heap()->Get(ref.AsRef());
+      ASSERT_NE(e, nullptr);
+      const int64_t id = field(e, "id").AsInt();
+      ASSERT_TRUE(id >= 0 && id < static_cast<int64_t>(seen.size()) &&
+                  !seen[static_cast<size_t>(id)])
+          << "unexpected or duplicate employee id " << id;
+      seen[static_cast<size_t>(id)] = true;
+      const int dept = dept_of_[static_cast<size_t>(id)];
+      const object::Value dref = field(e, "dept");
+      if (dept == 5) {
+        EXPECT_TRUE(dref.is_null()) << "employee " << id;
+        continue;
+      }
+      ASSERT_EQ(dref.kind(), object::ValueKind::kRef) << "employee " << id;
+      const object::HeapObject* d = db_.heap()->Get(dref.AsRef());
+      ASSERT_NE(d, nullptr) << "employee " << id;
+      EXPECT_EQ(field(d, "id").AsInt(), dept) << "employee " << id;
     }
   }
 
@@ -140,6 +185,7 @@ class BatchExecTest : public ::testing::Test {
   }
 
   Database db_;
+  std::vector<int> dept_of_;  // [employee id] -> dept_id (5: no dept)
 };
 
 TEST_F(BatchExecTest, ScanFilterProjectParity) {

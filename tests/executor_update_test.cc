@@ -194,6 +194,21 @@ TEST_F(UpdateTest, AssignNamedScalar) {
   EXPECT_EQ(r.rows[0][0].AsString(), "goodbye");
 }
 
+TEST_F(UpdateTest, FalseConstantWhereUpdatesNothing) {
+  // A statement without range variables has one binding, and only when
+  // its variable-free where-clause holds.
+  Must(R"(create Motto : text = "hello")");
+  QueryResult r = Must(R"(assign Motto = "goodbye" where 1 = 2)");
+  EXPECT_EQ(r.affected, 0u);
+  r = Must("retrieve (Motto)");
+  EXPECT_EQ(r.rows[0][0].AsString(), "hello");
+  r = Must(R"(append to Employees (name = "a") where 1 = 2)");
+  EXPECT_EQ(r.affected, 0u);
+  EXPECT_EQ(Count("Employees"), 0);
+  r = Must(R"(assign Motto = "goodbye" where 1 = 1)");
+  EXPECT_EQ(r.affected, 1u);
+}
+
 TEST_F(UpdateTest, AssignNamedRefAndArraySlots) {
   Must(R"(append to Employees (name = "a"))");
   Must(R"(append to Employees (name = "b"))");

@@ -155,6 +155,21 @@ TEST_F(FunctionTest, ProceduresExecuteForAllBindings) {
   EXPECT_DOUBLE_EQ(r.rows[0][0].AsFloat(), 100.0 + 15.0 + 25.0);
 }
 
+TEST_F(FunctionTest, ParameterOnlyWhereGuardsProcedureUpdates) {
+  // `E.salary > 50.0` names no range variable, so it is a constant
+  // filter of the body's replace: when it fails, nothing is replaced.
+  Must(R"(append to Employees (name = "e2", salary = 10.0))");
+  Must(R"(define procedure Cap (E: Employee) as
+          replace E (salary = 50.0) where E.salary > 50.0)");
+  QueryResult r = Must("execute Cap(E) from E in Employees");
+  EXPECT_EQ(r.affected, 1u);
+  r = Must(R"(retrieve (E.name, E.salary) from E in Employees
+              sort by E.name)");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.rows[0][1].AsFloat(), 50.0);  // e1 was 100.0
+  EXPECT_DOUBLE_EQ(r.rows[1][1].AsFloat(), 10.0);  // e2 untouched
+}
+
 TEST_F(FunctionTest, ProcedureWithConstantArgsRunsOnce) {
   Must(R"(define procedure Hire (n: char[25], s: float8) as
           append to Employees (name = n, salary = s))");

@@ -384,6 +384,28 @@ TEST_F(ObservabilityTest, ExplainAnalyzeSelectiveFilter) {
   EXPECT_NE(text->find("Total: 10 row(s)"), std::string::npos) << *text;
 }
 
+TEST_F(ObservabilityTest, ExplainAnalyzeShowsStatementTail) {
+  // Aggregation, sort and duplicate elimination run after the pipeline;
+  // their time (with the row build) prints as one Finish: line right
+  // after Total:.
+  for (const char* q :
+       {"retrieve (E.dept_id, count(E over E.dept_id)) from E in Employees",
+        "retrieve (sum(E.salary)) from E in Employees",
+        "retrieve (E.name) from E in Employees sort by E.name",
+        "retrieve unique (E.dept_id) from E in Employees"}) {
+    auto text = session_->Explain(q, /*analyze=*/true);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    const size_t total = text->find("Total: 40 row(s)");
+    ASSERT_NE(total, std::string::npos) << q << "\n" << *text;
+    EXPECT_EQ(text->find("\nFinish: ", total), text->find('\n', total))
+        << q << "\n" << *text;
+  }
+  // A streaming projection has no tail.
+  auto text = session_->Explain(kJoin, /*analyze=*/true);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(text->find("Finish:"), std::string::npos) << *text;
+}
+
 TEST_F(ObservabilityTest, PlainExplainHasNoActuals) {
   auto text = session_->Explain(kJoin, /*analyze=*/false);
   ASSERT_TRUE(text.ok()) << text.status().ToString();

@@ -2,7 +2,10 @@
 // query runs at exec_threads = 1 (the serial batch path — the oracle)
 // and at 2 and 4 workers across boundary-straddling batch sizes;
 // rendered rows must agree exactly, including row order for unsorted
-// streams (morsel buffers concatenate in morsel order). Aggregate test
+// streams (morsel columns concatenate in morsel order). The serial
+// result is also checked once per query against the naive reference
+// evaluator (tests/reference_eval.h), which shares no pipeline code
+// with either path — a bug both paths share cannot hide. Aggregate test
 // data is FP-exact (multiples of 0.25 well inside double precision) so
 // partial-aggregate merging cannot hide behind float tolerance. Also
 // covers the `\explain analyze` parallel annotations, the
@@ -25,18 +28,19 @@
 #include "excess/database.h"
 #include "excess/session.h"
 #include "excess/session_options.h"
+#include "reference_eval.h"
 #include "util/status.h"
 
 namespace exodus {
 namespace {
 
-using excess::QueryResult;
 using excess::SessionOptions;
 using util::StatusCode;
 
-std::vector<std::string> Render(const QueryResult& r, bool sorted = true) {
+std::vector<std::string> Render(
+    const std::vector<std::vector<object::Value>>& rows, bool sorted = true) {
   std::vector<std::string> out;
-  for (const auto& row : r.rows) {
+  for (const auto& row : rows) {
     std::string line;
     for (const auto& v : row) line += v.ToString() + "|";
     out.push_back(std::move(line));
@@ -95,7 +99,16 @@ class ParallelExecTest : public ::testing::Test {
     auto r = (*session)->Execute(q);
     EXPECT_TRUE(r.ok()) << q << "\n -> " << r.status().ToString();
     if (!r.ok()) return {};
-    return Render(*r, sorted);
+    return Render(r->rows, sorted);
+  }
+
+  // The reference evaluator's rendered rows for `q`.
+  std::vector<std::string> Oracle(const std::string& q, bool sorted = true) {
+    reference::ReferenceEvaluator ref(&db_);
+    auto rows = ref.Retrieve(q);
+    EXPECT_TRUE(rows.ok()) << q << "\n -> " << rows.status().ToString();
+    if (!rows.ok()) return {};
+    return Render(*rows, sorted);
   }
 
   // Asserts 2- and 4-worker execution matches the serial (threads=1)
@@ -103,6 +116,8 @@ class ParallelExecTest : public ::testing::Test {
   // 300 rows -> {7: ragged tail, 64: many morsels, 100: exact multiple,
   // 300: one morsel (serial fallback), 4096: one morsel}.
   void ExpectParity(const std::string& q, bool sorted = true) {
+    EXPECT_EQ(Rows(q, 1, 64, sorted), Oracle(q, sorted))
+        << q << "\n serial vs reference evaluator";
     for (int bs : {7, 64, 100, 300, 4096}) {
       std::vector<std::string> oracle = Rows(q, 1, bs, sorted);
       for (int threads : {2, 4}) {
@@ -142,6 +157,13 @@ TEST_F(ParallelExecTest, JoinParity) {
   ExpectParity(
       "retrieve (E.name, D.floor) from E in Employees, D in Departments "
       "where D.id = E.dept_id and D.floor > 0 and E.salary < 60.0");
+  // A 300-element build side under a many-morsel driving scan: at batch
+  // sizes up to 150 the table is hashed in chunks on several workers
+  // and merged; its chains must still enumerate in build order.
+  ExpectParity(
+      "retrieve (A.id, B.id) from A in Employees, B in Employees "
+      "where B.dept_id = A.id",
+      /*sorted=*/false);
 }
 
 TEST_F(ParallelExecTest, AggregateParity) {
