@@ -12,7 +12,7 @@
 //
 // The measured object is the WalWriter itself — the same group-commit
 // path every session's `append`/`replace`/`delete` takes through
-// Database::ExecuteStmtJournaled — so commits/sec here is statement
+// Database::JournalStmt — so commits/sec here is statement
 // commits/sec with execution cost stripped away.
 
 #include <benchmark/benchmark.h>

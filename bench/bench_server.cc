@@ -1,8 +1,8 @@
-// B13 — networked query-server throughput vs. worker-pool size.
-// Expected shape: eight blocking client connections drive read-only
-// retrieves; server-side execution parallelism is bounded by the
-// worker pool, so throughput grows with workers until the scan-bound
-// queries saturate the cores. The acceptance bar is >= 2x queries/sec
+// B13 — networked query-server throughput vs. admission permits
+// (ServerOptions::workers). Expected shape: eight blocking client
+// connections drive read-only retrieves; each connection thread
+// executes its own requests, at most `workers` at once, so throughput
+// grows with workers until the scan-bound queries saturate the cores. The acceptance bar is >= 2x queries/sec
 // at 4 workers over 1 worker. The mixed variant (1 in 16 statements a
 // mutation taking the database lock exclusively) shows the
 // reader/writer lock keeping read scaling mostly intact.

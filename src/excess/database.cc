@@ -468,21 +468,6 @@ Result<Value> Database::EvalExpression(const std::string& text) {
   return default_session_->EvalExpression(text);
 }
 
-Result<QueryResult> Database::ExecuteStmtJournaled(Session& session,
-                                                   const Stmt& stmt) {
-  EXODUS_ASSIGN_OR_RETURN(QueryResult r, ExecuteStmt(session, stmt));
-  if (session.ctx_.txn != nullptr && session.ctx_.txn->escalate()) {
-    // The snapshot attempt is about to be rolled back and re-run under
-    // the exclusive lock; journaling it too would replay it twice.
-    return r;
-  }
-  if (journal_enabled() && IsJournaled(stmt)) {
-    EXODUS_RETURN_IF_ERROR(
-        JournalStmt(stmt, session.ctx_.options.durability));
-  }
-  return r;
-}
-
 Result<QueryResult> Database::ExecuteStmt(Session& session, const Stmt& stmt) {
   switch (stmt.kind) {
     case StmtKind::kDefineType:

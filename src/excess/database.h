@@ -326,14 +326,13 @@ class Database {
   /// context).
   util::Result<excess::QueryResult> ExecuteStmt(Session& session,
                                                 const excess::Stmt& stmt);
-  /// ExecuteStmt + journal append for mutating statements.
-  util::Result<excess::QueryResult> ExecuteStmtJournaled(
-      Session& session, const excess::Stmt& stmt);
 
   /// True for statements whose effects must be journaled for recovery.
   static bool IsJournaled(const excess::Stmt& stmt);
   /// Appends one statement record to the WAL; `durability` decides when
-  /// the append is acknowledged (sync / group / async).
+  /// the append is acknowledged (sync / group / async). Its one caller
+  /// is Session::ExecuteWithConcurrency, which appends under the
+  /// statement's extent latch or exclusive lock, before the commit.
   util::Status JournalStmt(const excess::Stmt& stmt,
                            wal::Durability durability);
 

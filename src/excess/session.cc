@@ -121,26 +121,14 @@ Result<std::vector<QueryResult>> Session::ExecuteAll(const std::string& text) {
   std::vector<QueryResult> results;
   results.reserve(program.size());
   for (const excess::StmtPtr& stmt : program) {
+    obs::StmtTrace trace;
+    trace.parse_ns = parse_ns;
     EXODUS_ASSIGN_OR_RETURN(QueryResult r,
-                            ExecuteStmtLocked(*stmt, parse_ns, &text));
+                            RunStatement(*stmt, &trace, &text));
     parse_ns = 0;
     results.push_back(std::move(r));
   }
   return results;
-}
-
-Result<QueryResult> Session::ExecuteStmtLocked(const excess::Stmt& stmt,
-                                               uint64_t parse_ns,
-                                               const std::string* source_text) {
-  obs::StmtTrace trace;
-  trace.parse_ns = parse_ns;
-  return RunTraced(
-      stmt, &trace,
-      [&]() -> Result<QueryResult> {
-        return ExecuteWithConcurrency(
-            stmt, [&] { return db_->ExecuteStmtJournaled(*this, stmt); });
-      },
-      source_text);
 }
 
 Session::StmtClass Session::Classify(const excess::Stmt& stmt) const {
@@ -199,13 +187,29 @@ std::string Session::WriteExtentOf(const excess::Stmt& stmt) const {
 }
 
 Result<QueryResult> Session::ExecuteWithConcurrency(
-    const excess::Stmt& stmt,
-    const std::function<Result<QueryResult>()>& body) {
+    const excess::Stmt& stmt, const StmtBody& body,
+    const JournalForm& journal_form) {
   if (db_->read_only() && !Database::IsReadOnly(stmt) &&
       !replication_apply_) {
     return Status::PermissionDenied(
         "database is a read-only replica; writes must go to the primary");
   }
+  // The body, then — if it succeeded, did not escalate and the statement
+  // is journaled — its WAL append, the only one for any statement. An
+  // escalated attempt is about to be rolled back and re-run under the
+  // exclusive lock; journaling it too would replay it twice.
+  auto run_and_journal = [&]() -> Result<QueryResult> {
+    Result<QueryResult> result = body();
+    if (!result.ok() || !db_->journal_enabled() ||
+        !Database::IsJournaled(stmt) ||
+        (ctx_.txn != nullptr && ctx_.txn->escalate())) {
+      return result;
+    }
+    EXODUS_RETURN_IF_ERROR(
+        db_->JournalStmt(journal_form ? journal_form() : stmt,
+                         ctx_.options.durability));
+    return result;
+  };
   excess::ConcurrencyController* cc = db_->controller_.get();
   bool escalated_out = false;
   {
@@ -238,7 +242,7 @@ Result<QueryResult> Session::ExecuteWithConcurrency(
       txn.heap.latched_extents = &txn.latched;
       ctx_.snapshot_epoch = txn.heap.snapshot;
       ctx_.txn = &txn;
-      Result<QueryResult> result = body();
+      Result<QueryResult> result = run_and_journal();
       ctx_.txn = nullptr;
       ctx_.snapshot_epoch = object::kMaxEpoch;
 
@@ -267,7 +271,7 @@ Result<QueryResult> Session::ExecuteWithConcurrency(
   if (!Database::IsReadOnly(stmt)) {
     cc->locked_writes.fetch_add(1, std::memory_order_relaxed);
   }
-  return body();
+  return run_and_journal();
 }
 
 std::vector<std::vector<std::string>> Session::FormatRows(
@@ -287,10 +291,11 @@ std::vector<std::vector<std::string>> Session::FormatRows(
   return rows;
 }
 
-Result<QueryResult> Session::RunTraced(
-    const excess::Stmt& stmt, obs::StmtTrace* trace,
-    const std::function<Result<QueryResult>()>& body,
-    const std::string* source_text) {
+Result<QueryResult> Session::RunStatement(const excess::Stmt& stmt,
+                                          obs::StmtTrace* trace,
+                                          const std::string* source_text,
+                                          const StmtBody& body,
+                                          const JournalForm& journal_form) {
   obs::QueryTracer* tracer = db_->tracer();
   tracer->Begin(trace);
   trace->session_id = slot_ != nullptr ? slot_->session_id : 0;
@@ -303,7 +308,9 @@ Result<QueryResult> Session::RunTraced(
   if (slot_ != nullptr) {
     slot_->BeginStatement(trace->query_id, ctx_.current_user, source_text, t0);
   }
-  Result<QueryResult> result = body();
+  const StmtBody execute = [&] { return db_->ExecuteStmt(*this, stmt); };
+  Result<QueryResult> result =
+      ExecuteWithConcurrency(stmt, body ? body : execute, journal_form);
   ctx_.trace = nullptr;
   if (trace->execute_ns == 0) {
     // Non-executor statements (DDL, auth, range, retrieve-into) never
@@ -385,17 +392,7 @@ Result<std::string> Session::Explain(const std::string& text, bool analyze) {
 
   obs::StmtTrace trace;
   trace.capture_plan = true;
-  EXODUS_ASSIGN_OR_RETURN(
-      QueryResult result,
-      RunTraced(
-          *stmt, &trace,
-          [&]() -> Result<QueryResult> {
-            return ExecuteWithConcurrency(*stmt, [&] {
-              return db_->ExecuteStmtJournaled(*this, *stmt);
-            });
-          },
-          &text));
-  (void)result;
+  EXODUS_RETURN_IF_ERROR(RunStatement(*stmt, &trace, &text).status());
 
   std::string out = trace.annotated_plan;
   char phases[160];
@@ -611,52 +608,41 @@ Result<QueryResult> PreparedStatement::Execute() {
   std::shared_ptr<const CachedPlan> plan = plan_;
   obs::StmtTrace trace;
   trace.used_cached_plan = true;
-  return session_->RunTraced(
-      *plan->stmt, &trace,
-      [&]() -> Result<QueryResult> {
-        return session_->ExecuteWithConcurrency(
-            *plan->stmt, [&] { return ExecuteLocked(); });
-      },
-      &plan->source);
-}
-
-Result<QueryResult> PreparedStatement::ExecuteLocked() {
-  EXODUS_RETURN_IF_ERROR(RefreshIfStale());
-
   Executor::ParamEnv params;
-  for (int i = 1; i <= plan_->param_count; ++i) {
-    if (!bound_[static_cast<size_t>(i - 1)]) {
-      return Status::TypeError("parameter $" + std::to_string(i) +
-                               " has no bound value");
+  auto body = [&]() -> Result<QueryResult> {
+    EXODUS_RETURN_IF_ERROR(RefreshIfStale());
+    for (int i = 1; i <= plan_->param_count; ++i) {
+      if (!bound_[static_cast<size_t>(i - 1)]) {
+        return Status::TypeError("parameter $" + std::to_string(i) +
+                                 " has no bound value");
+      }
+      params.values["$" + std::to_string(i)] =
+          values_[static_cast<size_t>(i - 1)];
     }
-    params.values["$" + std::to_string(i)] =
-        values_[static_cast<size_t>(i - 1)];
-  }
-  params.types = plan_->param_types;
-
-  if (!plan_->has_plan) {
-    // DDL: re-execute from the parsed AST (parameterless by
-    // construction); journaling handled by the Database path.
-    return session_->db_->ExecuteStmtJournaled(*session_, *plan_->stmt);
-  }
-
-  Executor exec(&session_->ctx_);
-  auto result = exec.ExecutePrepared(*plan_->stmt, plan_->query, plan_->plan,
-                                     params);
-  if (!result.ok()) return result;
-  session_->db_->set_last_plan(plan_->plan_text);
-
-  if (session_->db_->journal_enabled() &&
-      Database::IsJournaled(*plan_->stmt) &&
-      !(session_->ctx_.txn != nullptr && session_->ctx_.txn->escalate())) {
-    // Escalated statements roll back and re-run exclusively; journaling
-    // here too would replay the statement twice.
-    excess::StmtPtr journaled = plan_->stmt->Clone();
-    SubstituteParams(journaled.get(), params);
-    EXODUS_RETURN_IF_ERROR(session_->db_->JournalStmt(
-        *journaled, session_->ctx_.options.durability));
-  }
-  return result;
+    params.types = plan_->param_types;
+    if (!plan_->has_plan) {
+      // DDL: re-execute from the parsed AST (parameterless by
+      // construction).
+      return session_->db_->ExecuteStmt(*session_, *plan_->stmt);
+    }
+    Executor exec(&session_->ctx_);
+    auto result = exec.ExecutePrepared(*plan_->stmt, plan_->query,
+                                       plan_->plan, params);
+    if (result.ok()) session_->db_->set_last_plan(plan_->plan_text);
+    return result;
+  };
+  // Journal the plan that actually executed (RefreshIfStale may have
+  // swapped it), with its parameters substituted so the record replays
+  // on its own.
+  excess::StmtPtr substituted;
+  auto journal_form = [&]() -> const Stmt& {
+    if (plan_->param_count == 0) return *plan_->stmt;
+    substituted = plan_->stmt->Clone();
+    SubstituteParams(substituted.get(), params);
+    return *substituted;
+  };
+  return session_->RunStatement(*plan->stmt, &trace, &plan->source, body,
+                                journal_form);
 }
 
 }  // namespace exodus

@@ -127,39 +127,34 @@ class Session {
   /// the exclusive path).
   std::string WriteExtentOf(const excess::Stmt& stmt) const;
 
+  using StmtBody = std::function<util::Result<excess::QueryResult>()>;
+  /// Yields the statement to journal; called only when it will be.
+  using JournalForm = std::function<const excess::Stmt&()>;
+
+  /// Runs one statement start to finish — the one path every one-shot,
+  /// `explain analyze` and prepared statement takes. Brackets it with
+  /// the database tracer (query ID, phase timings, QueryTracer::Finish)
+  /// and the session's activity slot, bound thread-locally so wait
+  /// guards deep in the engine publish into it; `source_text`, when
+  /// non-null, is the string the statement came from, published as the
+  /// activity text without re-rendering the AST. Inside the bracket,
+  /// ExecuteWithConcurrency runs `body` (default: Database::ExecuteStmt).
+  util::Result<excess::QueryResult> RunStatement(
+      const excess::Stmt& stmt, obs::StmtTrace* trace,
+      const std::string* source_text, const StmtBody& body = nullptr,
+      const JournalForm& journal_form = nullptr);
+
   /// Runs `body` under the concurrency regime Classify picks for
   /// `stmt`: reads take the shared lock plus a snapshot pin; snapshot
   /// writes latch their extent, stage into a StatementTxn and commit
   /// (or roll back and re-run exclusively when the statement escalates);
-  /// everything else takes the exclusive lock. Writer stall time is
-  /// recorded on the controller either way.
+  /// everything else takes the exclusive lock. A journaled statement
+  /// whose body succeeded without escalating is appended to the WAL —
+  /// `journal_form()`, or else `stmt` — here and nowhere else: under the
+  /// latch or exclusive lock, durable before the commit.
   util::Result<excess::QueryResult> ExecuteWithConcurrency(
-      const excess::Stmt& stmt,
-      const std::function<util::Result<excess::QueryResult>()>& body);
-
-  /// Executes one parsed statement under the concurrency regime
-  /// appropriate to its kind, tracing it as one statement. `parse_ns`
-  /// is the parse time to attribute; `source_text`, when non-null, is
-  /// an existing string the statement came from, published (truncated)
-  /// into the session's activity slot without re-rendering the AST.
-  util::Result<excess::QueryResult> ExecuteStmtLocked(
-      const excess::Stmt& stmt, uint64_t parse_ns = 0,
-      const std::string* source_text = nullptr);
-
-  /// Runs `body` (which performs the actual locked execution) bracketed
-  /// by the database tracer: assigns the query ID, sets ctx_.trace so
-  /// the executor records phases and actuals, fills fallback timings
-  /// for non-executor statements, and hands the finished trace to
-  /// QueryTracer::Finish. Also brackets the session's activity slot
-  /// (BeginStatement / EndStatement) and binds it thread-locally so
-  /// wait guards deep in the engine publish into it; `source_text` is
-  /// the activity statement text (see ExecuteStmtLocked). Statement
-  /// text for the trace is rendered only when the tracer will consume
-  /// it.
-  util::Result<excess::QueryResult> RunTraced(
-      const excess::Stmt& stmt, obs::StmtTrace* trace,
-      const std::function<util::Result<excess::QueryResult>()>& body,
-      const std::string* source_text = nullptr);
+      const excess::Stmt& stmt, const StmtBody& body,
+      const JournalForm& journal_form);
 
   /// Fetches the plan for normalized text `norm` from the database's
   /// plan cache, building and inserting it on a miss. The caller must
@@ -254,9 +249,6 @@ class PreparedStatement {
   PreparedStatement(Session* session,
                     std::shared_ptr<const excess::CachedPlan> plan,
                     uint64_t range_epoch);
-
-  /// Execute() body, running with the database lock already held.
-  util::Result<excess::QueryResult> ExecuteLocked();
 
   /// Re-prepares if the catalog's schema generation or the session's
   /// range epoch moved past the cached plan. The caller must hold the

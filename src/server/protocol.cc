@@ -109,6 +109,16 @@ Result<std::string> WireReader::Str() {
   return s;
 }
 
+Result<uint32_t> WireReader::Count(size_t min_bytes_each) {
+  EXODUS_ASSIGN_OR_RETURN(uint32_t n, U32());
+  if (n > (buf_.size() - pos_) / min_bytes_each) {
+    return Status::InvalidArgument("truncated frame: count " +
+                                   std::to_string(n) +
+                                   " exceeds remaining payload");
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
 // Scalar parameter values
 // ---------------------------------------------------------------------------
@@ -198,16 +208,16 @@ void RowsPayload::EncodeTo(std::string* out) const {
 
 Result<RowsPayload> RowsPayload::Decode(WireReader* r) {
   RowsPayload p;
-  EXODUS_ASSIGN_OR_RETURN(uint32_t ncols, r->U32());
+  EXODUS_ASSIGN_OR_RETURN(uint32_t ncols, r->Count(4));
   p.columns.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     EXODUS_ASSIGN_OR_RETURN(std::string c, r->Str());
     p.columns.push_back(std::move(c));
   }
-  EXODUS_ASSIGN_OR_RETURN(uint32_t nrows, r->U32());
+  EXODUS_ASSIGN_OR_RETURN(uint32_t nrows, r->Count(4));
   p.rows.reserve(nrows);
   for (uint32_t i = 0; i < nrows; ++i) {
-    EXODUS_ASSIGN_OR_RETURN(uint32_t ncells, r->U32());
+    EXODUS_ASSIGN_OR_RETURN(uint32_t ncells, r->Count(4));
     std::vector<std::string> row;
     row.reserve(ncells);
     for (uint32_t j = 0; j < ncells; ++j) {
@@ -401,7 +411,8 @@ void WalRecordsPayload::EncodeTo(std::string* out) const {
 Result<WalRecordsPayload> WalRecordsPayload::Decode(WireReader* r) {
   WalRecordsPayload p;
   EXODUS_ASSIGN_OR_RETURN(p.primary_durable_lsn, r->U64());
-  EXODUS_ASSIGN_OR_RETURN(uint32_t count, r->U32());
+  // lsn, type, payload length.
+  EXODUS_ASSIGN_OR_RETURN(uint32_t count, r->Count(8 + 1 + 4));
   p.records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     wal::WalRecord rec;
@@ -434,7 +445,8 @@ void ActivityPayload::EncodeTo(std::string* out) const {
 
 Result<ActivityPayload> ActivityPayload::Decode(WireReader* r) {
   ActivityPayload p;
-  EXODUS_ASSIGN_OR_RETURN(uint32_t count, r->U32());
+  // Seven u64s, one u8 and four string lengths.
+  EXODUS_ASSIGN_OR_RETURN(uint32_t count, r->Count(7 * 8 + 1 + 4 * 4));
   p.entries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Entry e;

@@ -94,6 +94,10 @@ class WireReader {
   util::Result<int64_t> I64();
   util::Result<double> F64();
   util::Result<std::string> Str();
+  /// A u32 element count, rejected when the bytes left in the frame
+  /// cannot hold that many elements of at least `min_bytes_each` bytes —
+  /// so a hostile count never drives an allocation.
+  util::Result<uint32_t> Count(size_t min_bytes_each);
 
   bool AtEnd() const { return pos_ >= buf_.size(); }
   size_t pos() const { return pos_; }

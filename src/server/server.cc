@@ -5,10 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <future>
 #include <map>
 #include <utility>
 
@@ -29,6 +29,21 @@ namespace {
 /// even after framing overhead; a lagging replica just polls again.
 constexpr size_t kWalTailBatchBytes = 4u << 20;  // 4 MiB
 
+/// One admission permit, held for the scope of a request's execution.
+class Permit {
+ public:
+  explicit Permit(std::counting_semaphore<>* admission)
+      : admission_(admission) {
+    admission_->acquire();
+  }
+  ~Permit() { admission_->release(); }
+  Permit(const Permit&) = delete;
+  Permit& operator=(const Permit&) = delete;
+
+ private:
+  std::counting_semaphore<>* admission_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -48,8 +63,7 @@ struct Server::Connection {
   /// and advanced by each subsequent one: while it lives, checkpoints
   /// keep every WAL record above the replica's acknowledged position.
   std::shared_ptr<wal::WalWriter::Retainer> retainer;
-  /// Touched only by this connection's serving thread (directly or via
-  /// the pool job it is blocked on).
+  /// Touched only by this connection's serving thread.
   uint64_t queries = 0;
   uint64_t errors = 0;
 };
@@ -59,7 +73,11 @@ struct Server::Connection {
 // ---------------------------------------------------------------------------
 
 Server::Server(Database* db, ServerOptions options)
-    : db_(db), options_(std::move(options)), pool_(options_.workers) {
+    : db_(db),
+      options_(std::move(options)),
+      admission_(static_cast<std::ptrdiff_t>(
+          std::min<size_t>(options_.workers,
+                           std::counting_semaphore<>::max()))) {
   // The registry hands out stable pointers and the Database outlives the
   // Server, so the counters can be resolved once here. Two servers on
   // one database share the same series — they are one database's load.
@@ -76,6 +94,10 @@ Server::Server(Database* db, ServerOptions options)
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
+  if (options_.workers == 0) {
+    return Status::InvalidArgument(
+        "workers must be at least 1: no request could ever execute");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IoError(std::string("socket: ") + std::strerror(errno));
@@ -152,7 +174,6 @@ void Server::Stop() {
   for (auto& conn : conns) {
     if (conn->thread.joinable()) conn->thread.join();
   }
-  pool_.Shutdown();
   // Journal note: Database flushes every journal append before it
   // returns, so draining the in-flight statements above is all the
   // "flush" a graceful shutdown needs.
@@ -198,20 +219,6 @@ Status Server::SendFrame(Connection* conn, MsgType type,
   obs::WaitEventGuard wait(db_->wait_profile(),
                            obs::WaitEvent::kServerSend);
   return WriteFrame(conn->fd, type, body);
-}
-
-void Server::RunOnPool(std::function<void()> job) {
-  std::promise<void> done;
-  std::future<void> fut = done.get_future();
-  bool submitted = pool_.Submit([&job, &done] {
-    job();
-    done.set_value();
-  });
-  if (!submitted) {
-    job();  // pool draining (shutdown): run inline, still correct
-    return;
-  }
-  fut.wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -275,30 +282,27 @@ void Server::ServeConnection(Connection* conn) {
 }
 
 bool Server::HandleFrame(Connection* conn, const Frame& frame) {
+  // A request that does not decode: best-effort ERROR, then close.
+  auto Malformed = [&](const Status& st) {
+    SendError(conn->fd, st);
+    return false;
+  };
   WireReader r(frame.body);
   switch (frame.type) {
     case MsgType::kHello: {
       auto version = r.U8();
       auto user = version.ok() ? r.Str() : Result<std::string>(
                                                version.status());
-      if (!user.ok()) {
-        SendError(conn->fd, user.status());
-        return false;
-      }
+      if (!user.ok()) return Malformed(user.status());
       if (*version != kProtocolVersion) {
-        SendError(conn->fd, Status::InvalidArgument(
-                                "protocol version mismatch: server speaks " +
-                                std::to_string(kProtocolVersion) +
-                                ", client sent " + std::to_string(*version)));
-        return false;
+        return Malformed(Status::InvalidArgument(
+            "protocol version mismatch: server speaks " +
+            std::to_string(kProtocolVersion) + ", client sent " +
+            std::to_string(*version)));
       }
       auto session = db_->CreateSession(*user);
-      if (!session.ok()) {
-        ++conn->errors;
-        counters_.errors_total->Increment();
-        SendError(conn->fd, session.status());
-        return true;  // the old session (dba) stays usable
-      }
+      // On failure the old session (dba) stays usable.
+      if (!session.ok()) return FailRequest(conn, session.status());
       conn->prepared.clear();  // handles belong to the old session
       conn->session = std::move(*session);
       SendOk(conn->fd, "hello " + *user);
@@ -307,62 +311,21 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
 
     case MsgType::kQuery: {
       auto text = r.Str();
-      if (!text.ok()) {
-        SendError(conn->fd, text.status());
-        return false;
-      }
-      auto started = std::chrono::steady_clock::now();
-      Result<std::vector<QueryResult>> results(
-          std::vector<QueryResult>{});
-      RowsPayload payload;
-      bool ok = false;
-      RunOnPool([&] {
-        results = conn->session->ExecuteAll(*text);
-        if (!results.ok()) return;
-        ok = true;
-        // A multi-statement program answers with its last statement's
-        // result (the convention of Database::Execute). Formatting
-        // resolves references through the heap; the session pins a
-        // snapshot internally — other connections may be mutating.
-        if (results->empty()) return;
-        const QueryResult& last = results->back();
-        payload.columns = last.columns;
-        payload.message = last.message;
-        payload.affected = last.affected;
-        payload.rows = conn->session->FormatRows(last);
-      });
-      auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - started)
-                        .count();
-      counters_.latency->Record(static_cast<uint64_t>(micros));
-      ++conn->queries;
-      counters_.queries_total->Increment();
-      if (!ok) {
-        ++conn->errors;
-        counters_.errors_total->Increment();
-        SendError(conn->fd, results.status());
-        return true;
-      }
-      std::string body;
-      payload.EncodeTo(&body);
-      return SendFrame(conn, MsgType::kRows, body).ok();
+      if (!text.ok()) return Malformed(text.status());
+      // A multi-statement program answers with its last statement's
+      // result (the convention of Database::Execute).
+      return ExecuteAndReply(conn,
+                             [&] { return conn->session->Execute(*text); });
     }
 
     case MsgType::kPrepare: {
       auto text = r.Str();
-      if (!text.ok()) {
-        SendError(conn->fd, text.status());
-        return false;
-      }
-      Result<std::unique_ptr<PreparedStatement>> stmt(
-          Status::Internal("not prepared"));
-      RunOnPool([&] { stmt = conn->session->Prepare(*text); });
-      if (!stmt.ok()) {
-        ++conn->errors;
-        counters_.errors_total->Increment();
-        SendError(conn->fd, stmt.status());
-        return true;
-      }
+      if (!text.ok()) return Malformed(text.status());
+      Result<std::unique_ptr<PreparedStatement>> stmt = [&] {
+        Permit permit(&admission_);
+        return conn->session->Prepare(*text);
+      }();
+      if (!stmt.ok()) return FailRequest(conn, stmt.status());
       uint32_t handle = conn->next_handle++;
       int param_count = (*stmt)->param_count();
       conn->prepared[handle] = std::move(*stmt);
@@ -374,79 +337,35 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
 
     case MsgType::kExecute: {
       auto handle = r.U32();
-      if (!handle.ok()) {
-        SendError(conn->fd, handle.status());
-        return false;
-      }
-      auto nparams = r.U32();
-      if (!nparams.ok()) {
-        SendError(conn->fd, nparams.status());
-        return false;
-      }
+      if (!handle.ok()) return Malformed(handle.status());
+      auto nparams = r.Count(1);  // every value has at least a tag byte
+      if (!nparams.ok()) return Malformed(nparams.status());
       std::vector<object::Value> params;
       params.reserve(*nparams);
       for (uint32_t i = 0; i < *nparams; ++i) {
         auto v = GetValue(&r);
-        if (!v.ok()) {
-          SendError(conn->fd, v.status());
-          return false;
-        }
+        if (!v.ok()) return Malformed(v.status());
         params.push_back(std::move(*v));
       }
       auto it = conn->prepared.find(*handle);
       if (it == conn->prepared.end()) {
-        ++conn->errors;
-        counters_.errors_total->Increment();
-        SendError(conn->fd, Status::NotFound("no prepared statement #" +
-                                             std::to_string(*handle)));
-        return true;
+        return FailRequest(conn, Status::NotFound("no prepared statement #" +
+                                                  std::to_string(*handle)));
       }
       PreparedStatement* stmt = it->second.get();
-      auto started = std::chrono::steady_clock::now();
-      Result<QueryResult> result(Status::Internal("not executed"));
-      RowsPayload payload;
-      bool ok = false;
-      RunOnPool([&] {
+      return ExecuteAndReply(conn, [&]() -> Result<QueryResult> {
         stmt->ClearBindings();
         for (size_t i = 0; i < params.size(); ++i) {
-          Status st = stmt->Bind(static_cast<int>(i + 1),
-                                 std::move(params[i]));
-          if (!st.ok()) {
-            result = st;
-            return;
-          }
+          EXODUS_RETURN_IF_ERROR(
+              stmt->Bind(static_cast<int>(i + 1), std::move(params[i])));
         }
-        result = stmt->Execute();
-        if (!result.ok()) return;
-        ok = true;
-        payload.columns = result->columns;
-        payload.message = result->message;
-        payload.affected = result->affected;
-        payload.rows = conn->session->FormatRows(*result);
+        return stmt->Execute();
       });
-      auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - started)
-                        .count();
-      counters_.latency->Record(static_cast<uint64_t>(micros));
-      ++conn->queries;
-      counters_.queries_total->Increment();
-      if (!ok) {
-        ++conn->errors;
-        counters_.errors_total->Increment();
-        SendError(conn->fd, result.status());
-        return true;
-      }
-      std::string body;
-      payload.EncodeTo(&body);
-      return SendFrame(conn, MsgType::kRows, body).ok();
     }
 
     case MsgType::kCloseStmt: {
       auto handle = r.U32();
-      if (!handle.ok()) {
-        SendError(conn->fd, handle.status());
-        return false;
-      }
+      if (!handle.ok()) return Malformed(handle.status());
       conn->prepared.erase(*handle);
       SendOk(conn->fd, "closed");
       return true;
@@ -460,7 +379,7 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
     }
 
     case MsgType::kMetrics: {
-      // Pure atomic reads — no database lock, and no pool round-trip,
+      // Pure atomic reads — no database lock and no admission permit,
       // so a scrape never queues behind a long-running statement.
       std::string body;
       PutString(db_->metrics()->RenderPrometheus(), &body);
@@ -468,9 +387,9 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
     }
 
     case MsgType::kActivity: {
-      // Like kMetrics: answered on the connection thread, never through
-      // the pool — an activity probe must work precisely when the pool
-      // is saturated by the statements being introspected.
+      // Like kMetrics: takes no admission permit — an activity probe
+      // must work precisely when every permit is held by the
+      // statements being introspected.
       ActivityPayload p;
       for (const obs::ActivityRecord& rec : db_->sessions()->Snapshot()) {
         ActivityPayload::Entry e;
@@ -497,10 +416,7 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
 
     case MsgType::kWalTail: {
       auto after = r.U64();
-      if (!after.ok()) {
-        SendError(conn->fd, after.status());
-        return false;
-      }
+      if (!after.ok()) return Malformed(after.status());
       wal::WalWriter* w = db_->wal();
       if (w == nullptr) {
         SendError(conn->fd,
@@ -524,44 +440,28 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
         // The replica predates the retained WAL: ship a checkpoint
         // image. Retried because a truncating checkpoint can land
         // between the image's cut and the slot registration.
-        Result<WalSnapshotPayload> snap(Status::Internal("not built"));
-        RunOnPool([&] {
+        Result<WalSnapshotPayload> snap =
+            [&]() -> Result<WalSnapshotPayload> {
+          Permit permit(&admission_);
           for (int attempt = 0; attempt < 3; ++attempt) {
             WalSnapshotPayload p;
-            auto image = db_->ReplicaSnapshot(&p.snapshot_lsn);
-            if (!image.ok()) {
-              snap = image.status();
-              return;
-            }
-            p.image = std::move(*image);
+            EXODUS_ASSIGN_OR_RETURN(p.image,
+                                    db_->ReplicaSnapshot(&p.snapshot_lsn));
             conn->retainer = w->CreateRetainer(p.snapshot_lsn);
-            if (db_->wal_base_lsn() <= p.snapshot_lsn) {
-              snap = std::move(p);
-              return;
-            }
+            if (db_->wal_base_lsn() <= p.snapshot_lsn) return p;
             conn->retainer.reset();
           }
-          snap = Status::Internal(
+          return Status::Internal(
               "checkpoint truncation keeps outpacing the bootstrap "
               "snapshot; retry");
-        });
-        if (!snap.ok()) {
-          ++conn->errors;
-          counters_.errors_total->Increment();
-          SendError(conn->fd, snap.status());
-          return true;
-        }
+        }();
+        if (!snap.ok()) return FailRequest(conn, snap.status());
         std::string body;
         snap->EncodeTo(&body);
         return SendFrame(conn, MsgType::kWalSnapshotReply, body).ok();
       }
       auto records = w->ReadAfter(*after, kWalTailBatchBytes);
-      if (!records.ok()) {
-        ++conn->errors;
-        counters_.errors_total->Increment();
-        SendError(conn->fd, records.status());
-        return true;
-      }
+      if (!records.ok()) return FailRequest(conn, records.status());
       WalRecordsPayload p;
       p.primary_durable_lsn = w->LastDurableLsn();
       p.records = std::move(*records);
@@ -577,12 +477,44 @@ bool Server::HandleFrame(Connection* conn, const Frame& frame) {
     default:
       // An unknown type after a well-formed length prefix most likely
       // means the stream is out of sync — close rather than guess.
-      SendError(conn->fd,
-                Status::InvalidArgument(
-                    "unknown request type " +
-                    std::to_string(static_cast<uint8_t>(frame.type))));
-      return false;
+      return Malformed(Status::InvalidArgument(
+          "unknown request type " +
+          std::to_string(static_cast<uint8_t>(frame.type))));
   }
+}
+
+bool Server::FailRequest(Connection* conn, const Status& st) {
+  ++conn->errors;
+  counters_.errors_total->Increment();
+  SendError(conn->fd, st);
+  return true;
+}
+
+bool Server::ExecuteAndReply(
+    Connection* conn, const std::function<Result<QueryResult>()>& run) {
+  const auto started = std::chrono::steady_clock::now();
+  Result<RowsPayload> payload = [&]() -> Result<RowsPayload> {
+    Permit permit(&admission_);
+    EXODUS_ASSIGN_OR_RETURN(QueryResult result, run());
+    RowsPayload p;
+    // Formatting resolves references through the heap; the session pins
+    // a snapshot itself, since other connections may be mutating.
+    p.rows = conn->session->FormatRows(result);
+    p.columns = std::move(result.columns);
+    p.message = std::move(result.message);
+    p.affected = result.affected;
+    return p;
+  }();
+  auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - started)
+                    .count();
+  counters_.latency->Record(static_cast<uint64_t>(micros));
+  ++conn->queries;
+  counters_.queries_total->Increment();
+  if (!payload.ok()) return FailRequest(conn, payload.status());
+  std::string body;
+  payload->EncodeTo(&body);
+  return SendFrame(conn, MsgType::kRows, body).ok();
 }
 
 StatsPayload Server::BuildStats(const Connection& conn) const {

@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,11 +15,13 @@
 #include "server/protocol.h"
 #include "util/result.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace exodus {
 class Database;
+namespace excess {
+struct QueryResult;
 }
+}  // namespace exodus
 
 namespace exodus::server {
 
@@ -27,8 +31,9 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// Worker threads executing statements. Connections beyond this many
-  /// stay connected; their requests queue on the pool.
+  /// The most requests that execute at once (at least 1). Each
+  /// connection executes its own requests on its own thread; beyond
+  /// this many, a connection waits for an admission permit.
   size_t workers = 4;
 };
 
@@ -49,11 +54,14 @@ struct ServerCounters {
   obs::Histogram* latency = nullptr;
 };
 
-/// The networked front end of one Database: accepts TCP connections,
-/// gives each its own Session (so `range of` declarations and the
-/// authenticated user stay per-connection), and executes requests on a
-/// fixed-size worker pool. Read/write isolation comes from the
-/// database-level reader/writer lock acquired inside the Session layer.
+/// The networked front end of one Database: accepts TCP connections and
+/// gives each its own thread and Session (so `range of` declarations and
+/// the authenticated user stay per-connection). The connection thread
+/// that reads a request also executes it, holding one of
+/// `ServerOptions::workers` admission permits while it does; requests
+/// that read only server state (STATS, METRICS, ACTIVITY) take no
+/// permit. Isolation between statements is the Session layer's
+/// concurrency regime (snapshot reads, latched extent writes).
 ///
 ///   exodus::Database db;
 ///   exodus::server::Server server(&db, {.port = 4077, .workers = 8});
@@ -72,7 +80,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the acceptor thread.
+  /// Binds, listens and starts the acceptor thread. InvalidArgument
+  /// when `workers` is 0 (no request could ever be admitted).
   util::Status Start();
 
   /// Graceful shutdown: stop accepting, let every in-flight request
@@ -99,11 +108,17 @@ class Server {
   /// connection should close (BYE, fatal protocol error).
   bool HandleFrame(Connection* conn, const Frame& frame);
 
-  /// Runs `job` on the worker pool and blocks until it completes (the
-  /// per-connection thread only parses and does socket I/O; statement
-  /// execution happens on the pool, which is what bounds concurrency).
-  /// Falls back to inline execution if the pool is shutting down.
-  void RunOnPool(std::function<void()> job);
+  /// Counts a request that failed (connection and server error
+  /// counters) and replies ERROR; the connection stays open (true).
+  bool FailRequest(Connection* conn, const util::Status& st);
+
+  /// The one execute-and-reply path QUERY and EXECUTE share: runs `run`
+  /// and formats its rows under an admission permit, then records the
+  /// latency, counts the request (and its error) and sends ROWS or
+  /// ERROR. Returns false when the connection should close.
+  bool ExecuteAndReply(
+      Connection* conn,
+      const std::function<util::Result<excess::QueryResult>()>& run);
 
   /// WriteFrame wrapped in a `server_send` wait guard: response
   /// flushing that blocks on the socket shows up in the wait profile.
@@ -117,7 +132,9 @@ class Server {
 
   Database* db_;
   ServerOptions options_;
-  util::ThreadPool pool_;
+  /// `options_.workers` permits; a connection holds one while it
+  /// executes a request, which bounds how many execute at once.
+  std::counting_semaphore<> admission_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::thread acceptor_;

@@ -6,10 +6,11 @@
 //                 [--checkpoint file [--checkpoint-interval-ms N]]
 //                 [--replica-of host:port]
 //
-// Serves the wire protocol of docs/server_protocol.md on a fixed-size
-// worker pool; one server-side Session per connection. SIGINT / SIGTERM
-// shut down gracefully: stop accepting, drain in-flight queries, flush
-// and exit 0.
+// Serves the wire protocol of docs/server_protocol.md with one thread
+// and one server-side Session per connection; at most --workers
+// requests execute at once. SIGINT / SIGTERM shut down gracefully: stop
+// accepting, drain in-flight queries, flush and exit 0. A malformed
+// flag exits 2 with the usage text.
 //
 // With --replica-of the server is a journal-shipping read replica: it
 // bootstraps its database from the primary (WAL replay or a snapshot
@@ -20,6 +21,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +45,18 @@ void HandleSignal(int) {
   char byte = 1;
   ssize_t ignored = ::write(g_signal_pipe[1], &byte, 1);
   (void)ignored;
+}
+
+/// Parses all of `text` as a decimal integer in [lo, hi].
+bool ParseInt(const char* text, long lo, long hi, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < lo || v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 int Usage(const char* argv0) {
@@ -73,12 +87,14 @@ int main(int argc, char** argv) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
-    if (arg == "--port" && (v = next())) {
-      options.port = static_cast<uint16_t>(std::atoi(v));
+    long n = 0;
+    if (arg == "--port" && (v = next()) && ParseInt(v, 0, 65535, &n)) {
+      options.port = static_cast<uint16_t>(n);
     } else if (arg == "--host" && (v = next())) {
       options.host = v;
-    } else if (arg == "--workers" && (v = next())) {
-      options.workers = static_cast<size_t>(std::atoi(v));
+    } else if (arg == "--workers" && (v = next()) &&
+               ParseInt(v, 1, LONG_MAX, &n)) {
+      options.workers = static_cast<size_t>(n);
     } else if (arg == "--load" && (v = next())) {
       load_path = v;
     } else if (arg == "--journal" && (v = next())) {
@@ -97,8 +113,9 @@ int main(int argc, char** argv) {
       ::setenv("EXODUS_DURABILITY", v, 1);
     } else if (arg == "--checkpoint" && (v = next())) {
       checkpoint_path = v;
-    } else if (arg == "--checkpoint-interval-ms" && (v = next())) {
-      checkpoint_interval_ms = std::atoi(v);
+    } else if (arg == "--checkpoint-interval-ms" && (v = next()) &&
+               ParseInt(v, 1, INT_MAX, &n)) {
+      checkpoint_interval_ms = static_cast<int>(n);
     } else if (arg == "--replica-of" && (v = next())) {
       replica_of = v;
     } else {

@@ -16,8 +16,7 @@ namespace exodus::util {
 /// Submit() enqueues a job and returns immediately; jobs run on the
 /// next free worker in submission order. Shutdown() (also run by the
 /// destructor) stops intake, drains every job already queued and joins
-/// the workers — in-flight work is never dropped, which is what lets
-/// the query server shut down gracefully on SIGINT.
+/// the workers — in-flight work is never dropped.
 ///
 /// Worker threads are spawned lazily on the first Submit(): a pool
 /// that is constructed but never used (every Database owns one for

@@ -1,26 +1,37 @@
 // The networked query server: wire protocol round-trips, the Client
 // library, per-connection session isolation, prepared statements over
 // the wire, error reporting with positions, malformed-frame and
-// mid-query-disconnect robustness, server counters, and the loopback
+// mid-query-disconnect robustness (including a seeded mutation run over
+// one valid frame per request type), hostile counts in every payload
+// decoder, the admission-permit bound on executing requests, rejection
+// of bad `excess_server` flags, server counters, and the loopback
 // integration load (8 connections x 200 mixed queries).
 
 #include "server/server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "excess/concurrency.h"
 #include "excess/database.h"
+#include "obs/wait_event.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/replica.h"
@@ -240,6 +251,18 @@ TEST_F(ServerTest, MalformedFramesDoNotKillTheServer) {
     EXPECT_TRUE(reply.ok() && reply->type == MsgType::kError);
     ::close(fd);
   }
+  // EXECUTE whose parameter count claims four billion values in a
+  // 13-byte frame: rejected before anything is allocated.
+  {
+    int fd = RawConnect();
+    std::string body;
+    PutU32(1, &body);
+    PutU32(0xFFFFFFFFu, &body);
+    EXPECT_TRUE(WriteFrame(fd, MsgType::kExecute, body).ok());
+    auto reply = ReadFrame(fd);
+    EXPECT_TRUE(reply.ok() && reply->type == MsgType::kError);
+    ::close(fd);
+  }
   // Oversized length prefix: the server must refuse, not allocate.
   {
     int fd = RawConnect();
@@ -266,6 +289,268 @@ TEST_F(ServerTest, MalformedFramesDoNotKillTheServer) {
   ASSERT_NE(client, nullptr);
   auto rows = client->Query("retrieve (count(Employees))");
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+}
+
+/// One valid request frame, with the body offsets of its u32 count and
+/// length prefixes (the targets of count edits).
+struct SeedFrame {
+  MsgType type;
+  std::string body;
+  std::vector<size_t> u32_at;
+
+  void U32(uint32_t v) {
+    u32_at.push_back(body.size());
+    PutU32(v, &body);
+  }
+  void Str(const std::string& v) {
+    u32_at.push_back(body.size());
+    PutString(v, &body);
+  }
+  void Val(const Value& v) {
+    if (v.kind() == object::ValueKind::kString) {
+      u32_at.push_back(body.size() + 1);  // after the tag byte
+    }
+    ASSERT_TRUE(PutValue(v, &body).ok());
+  }
+  std::string Wire() const {
+    std::string out;
+    PutU32(static_cast<uint32_t>(body.size() + 1), &out);
+    PutU8(static_cast<uint8_t>(type), &out);
+    return out + body;
+  }
+};
+
+/// Applies one seeded mutation to a whole wire frame (length prefix,
+/// type byte and body): bit flips, a truncation, an edit of a count or
+/// length prefix, a replaced type byte, or inserted bytes.
+std::string Mutate(const SeedFrame& seed, std::mt19937* rng) {
+  std::string f = seed.Wire();
+  auto pick = [&](size_t n) { return static_cast<size_t>((*rng)() % n); };
+  switch (pick(5)) {
+    case 0: {
+      const size_t flips = 1 + pick(3);
+      for (size_t i = 0; i < flips; ++i) {
+        f[pick(f.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    }
+    case 1:
+      f.resize(pick(f.size()));
+      break;
+    case 2: {
+      // A count or length prefix (the frame header's included) set to
+      // an edge value.
+      static constexpr uint32_t kEdges[] = {0, 1, 2, 0xFF, 0x10000,
+                                            0x7FFFFFFF, 0xFFFFFFFF};
+      size_t at = 0;
+      if (!seed.u32_at.empty() && pick(3) != 0) {
+        at = 5 + seed.u32_at[pick(seed.u32_at.size())];
+      }
+      uint32_t v = pick(4) == 0 ? static_cast<uint32_t>((*rng)())
+                                : kEdges[pick(std::size(kEdges))];
+      std::string bytes;
+      PutU32(v, &bytes);
+      f.replace(at, 4, bytes);
+      break;
+    }
+    case 3:
+      f[4] = static_cast<char>((*rng)());  // the type byte
+      break;
+    default: {
+      std::string junk(1 + pick(8), '\0');
+      for (char& c : junk) c = static_cast<char>((*rng)());
+      f.insert(pick(f.size() + 1), junk);
+      break;
+    }
+  }
+  return f;
+}
+
+/// Opens a fresh connection (which starts as dba, no HELLO), sends
+/// `prefix` and then `bytes`, half-closes and reads until the server
+/// closes. Empty on success; otherwise what went wrong.
+std::string SendAndDrain(uint16_t port, const std::string& prefix,
+                         const std::string& bytes) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "socket failed";
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string why;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    why = "connect refused: the server is gone";
+  } else {
+    std::string all = prefix + bytes;
+    // A send may fail once the server has already rejected the frame.
+    (void)::send(fd, all.data(), all.size(), MSG_NOSIGNAL);
+    ::shutdown(fd, SHUT_WR);
+    const auto started = std::chrono::steady_clock::now();
+    while (why.empty()) {
+      auto frame = ReadFrame(fd);
+      if (!frame.ok()) {
+        // EOF, or a reset because the server closed with our bytes
+        // unread: either way the server closed the connection — unless
+        // the read merely timed out.
+        if (std::chrono::steady_clock::now() - started >
+            std::chrono::seconds(4)) {
+          why = "the server neither replied nor closed the connection";
+        }
+        break;
+      }
+      const auto t = static_cast<uint8_t>(frame->type);
+      if (t < static_cast<uint8_t>(MsgType::kOk) ||
+          t > static_cast<uint8_t>(MsgType::kActivityReply)) {
+        why = "reply of unknown type " + std::to_string(t);
+      }
+    }
+  }
+  ::close(fd);
+  return why;
+}
+
+// Every request decoder turns hostile bytes into an ERROR reply or a
+// closed connection, never a crash or a hang, and the server keeps
+// serving. The run is seeded, so a failure replays.
+TEST_F(ServerTest, SeededMutationsOfEveryRequestTypeAreSurvived) {
+  std::vector<SeedFrame> corpus;
+  auto add = [&](MsgType type) -> SeedFrame& {
+    corpus.push_back(SeedFrame{type, {}, {}});
+    return corpus.back();
+  };
+  {
+    SeedFrame& f = add(MsgType::kHello);
+    PutU8(kProtocolVersion, &f.body);
+    f.Str("dba");
+  }
+  add(MsgType::kQuery).Str(
+      "retrieve (E.name, E.age) from E in Employees where E.age > 30");
+  add(MsgType::kPrepare).Str(
+      "retrieve (E.name) from E in Employees where E.age > $1");
+  {
+    // Every value tag PutValue writes.
+    SeedFrame& f = add(MsgType::kExecute);
+    f.U32(1);
+    f.U32(5);
+    f.Val(Value::Null());
+    f.Val(Value::Int(30));
+    f.Val(Value::Float(1.5));
+    f.Val(Value::Bool(true));
+    f.Val(Value::String("ann"));
+  }
+  add(MsgType::kCloseStmt).U32(1);
+  add(MsgType::kStats);
+  add(MsgType::kBye);
+  add(MsgType::kMetrics);
+  add(MsgType::kActivity);
+  PutU64(0, &add(MsgType::kWalTail).body);
+
+  // EXECUTE and CLOSE_STMT follow a valid PREPARE, so handle 1 exists.
+  SeedFrame prepare = corpus[2];
+  const std::string prepared = prepare.Wire();
+
+  std::mt19937 rng(20261020);
+  constexpr int kMutations = 1000;
+  for (int i = 0; i < kMutations; ++i) {
+    const SeedFrame& seed = corpus[static_cast<size_t>(i) % corpus.size()];
+    const std::string wire = Mutate(seed, &rng);
+    const bool needs_handle =
+        seed.type == MsgType::kExecute || seed.type == MsgType::kCloseStmt;
+
+    // Every payload decoder returns a Status on the mutated body.
+    const std::string body = wire.size() > 5 ? wire.substr(5) : "";
+    {
+      WireReader r(body);
+      (void)RowsPayload::Decode(&r);
+    }
+    {
+      WireReader r(body);
+      (void)ErrorPayload::Decode(&r);
+    }
+    {
+      WireReader r(body);
+      (void)StatsPayload::Decode(&r);
+    }
+    {
+      WireReader r(body);
+      (void)WalSnapshotPayload::Decode(&r);
+    }
+    {
+      WireReader r(body);
+      (void)WalRecordsPayload::Decode(&r);
+    }
+    {
+      WireReader r(body);
+      (void)ActivityPayload::Decode(&r);
+    }
+    {
+      WireReader r(body);
+      while (GetValue(&r).ok()) {
+      }
+    }
+
+    std::string why =
+        SendAndDrain(server_->port(), needs_handle ? prepared : "", wire);
+    ASSERT_EQ(why, "") << "mutation " << i << " of request type "
+                       << static_cast<int>(seed.type);
+    auto client = Client::Connect("127.0.0.1", server_->port(), "dba");
+    ASSERT_TRUE(client.ok()) << "after mutation " << i << ": "
+                             << client.status().ToString();
+    auto rows = (*client)->Query("retrieve (count(Employees))");
+    ASSERT_TRUE(rows.ok()) << "after mutation " << i << ": "
+                           << rows.status().ToString();
+  }
+}
+
+// Counts read from the wire cannot drive an allocation larger than the
+// frame could hold: each decoder fails cleanly instead.
+TEST(ProtocolTest, HostileCountsAreRejectedBeforeAllocating) {
+  constexpr uint32_t kHuge = 0xFFFFFFFFu;
+  auto rejects = [](const std::string& body,
+                    const std::function<util::Status(WireReader*)>& decode) {
+    WireReader r(body);
+    return !decode(&r).ok();
+  };
+  auto rows = [](WireReader* r) { return RowsPayload::Decode(r).status(); };
+  std::string body;
+  PutU32(kHuge, &body);  // columns
+  EXPECT_TRUE(rejects(body, rows));
+  body.clear();
+  PutU32(0, &body);
+  PutU32(kHuge, &body);  // rows
+  EXPECT_TRUE(rejects(body, rows));
+  body.clear();
+  PutU32(0, &body);
+  PutU32(1, &body);
+  PutU32(kHuge, &body);  // cells of row 0
+  EXPECT_TRUE(rejects(body, rows));
+
+  body.clear();
+  PutU64(7, &body);
+  PutU32(kHuge, &body);  // records
+  EXPECT_TRUE(rejects(body, [](WireReader* r) {
+    return WalRecordsPayload::Decode(r).status();
+  }));
+
+  body.clear();
+  PutU32(kHuge, &body);  // sessions
+  EXPECT_TRUE(rejects(body, [](WireReader* r) {
+    return ActivityPayload::Decode(r).status();
+  }));
+
+  // A count the remaining bytes can hold still decodes.
+  RowsPayload one;
+  one.columns = {"a"};
+  one.rows = {{"1"}};
+  body.clear();
+  one.EncodeTo(&body);
+  WireReader r(body);
+  auto decoded = RowsPayload::Decode(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->rows, one.rows);
 }
 
 TEST_F(ServerTest, MidQueryDisconnectIsSurvived) {
@@ -564,6 +849,150 @@ TEST_F(ReplicaTest, SnapshotBootstrapAfterCheckpointTruncation) {
   EXPECT_EQ(rep->lag_records(), 0u);
 
   primary.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Admission: at most `workers` requests execute at once
+// ---------------------------------------------------------------------------
+
+/// Polls `pred` for up to ~5 s; true iff it held at some point.
+bool EventuallyTrue(const std::function<bool()>& pred) {
+  for (int i = 0; i < 5000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(ServerAdmissionTest, ZeroWorkersIsRejected) {
+  Database db;
+  Server srv(&db, {.port = 0, .workers = 0});
+  EXPECT_EQ(srv.Start().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(ServerAdmissionTest, OnePermitHoldsBackASecondRequest) {
+  Database db;
+  auto setup = db.Execute(R"(
+    define type Item (name: char[25], qty: int4)
+    create Items : {Item}
+    append to Items (name = "seed", qty = 0)
+    create user carey
+    grant all on Items to carey
+  )");
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+  Server srv(&db, {.port = 0, .workers = 1});
+  ASSERT_TRUE(srv.Start().ok());
+  auto a = Client::Connect("127.0.0.1", srv.port(), "dba");
+  auto b = Client::Connect("127.0.0.1", srv.port(), "carey");
+  auto c = Client::Connect("127.0.0.1", srv.port(), "dba");
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+
+  // Connection A takes the only permit, then blocks on the Items latch
+  // this test holds.
+  std::mutex* latch = db.concurrency()->ExtentLatch("Items");
+  latch->lock();
+  std::thread ta([&] {
+    auto r = (*a)->Query("append to Items (name = \"a\", qty = 1)");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  ASSERT_TRUE(EventuallyTrue([&] {
+    for (const auto& rec : db.sessions()->Snapshot()) {
+      if (rec.active && rec.wait == obs::WaitEvent::kMvccWriterLatch) {
+        return true;
+      }
+    }
+    return false;
+  })) << "the append never blocked on the latch";
+
+  // Connection B's retrieve needs no latch, but must wait for the permit:
+  // it neither completes nor even starts.
+  std::atomic<bool> b_done{false};
+  std::thread tb([&] {
+    auto r = (*b)->Query("retrieve (count(Items))");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    b_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(b_done.load());
+  bool saw_b = false;
+  for (const auto& rec : db.sessions()->Snapshot()) {
+    if (rec.user != "carey") continue;
+    saw_b = true;
+    EXPECT_FALSE(rec.active) << "B's retrieve started without a permit";
+  }
+  EXPECT_TRUE(saw_b);
+
+  // Permit-free requests still answer on a third connection.
+  auto activity = (*c)->Activity();
+  ASSERT_TRUE(activity.ok()) << activity.status().ToString();
+  auto metrics = (*c)->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  latch->unlock();
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(b_done.load());
+  auto count = (*c)->Query("retrieve (count(Items))");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0], "2");
+  srv.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// excess_server flag parsing
+// ---------------------------------------------------------------------------
+
+/// Runs excess_server with `args` (stdout and stderr discarded) and
+/// returns its exit code; -1 if it was still running after the deadline
+/// (it is then killed) or died from a signal.
+int RunServerBinary(const std::vector<std::string>& args) {
+  // argv is built before fork: the child only makes async-signal-safe
+  // calls until exec.
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(EXODUS_SERVER_BIN));
+  for (const std::string& a : args) {
+    argv.push_back(const_cast<char*>(a.c_str()));
+  }
+  argv.push_back(nullptr);
+  pid_t child = ::fork();
+  if (child == 0) {
+    int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, 1);
+    ::dup2(devnull, 2);
+    ::execv(EXODUS_SERVER_BIN, argv.data());
+    ::_exit(127);
+  }
+  if (child < 0) return -1;
+  int status = 0;
+  for (int i = 0; i < 500; ++i) {
+    if (::waitpid(child, &status, WNOHANG) == child) {
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(child, SIGKILL);
+  ::waitpid(child, &status, 0);
+  return -1;
+}
+
+TEST(ServerFlagsTest, BadNumericFlagsExitWithUsage) {
+  // Each list starts with `--port 0`, so a server that wrongly accepts
+  // the bad flag listens on an ephemeral port until it is killed.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--port", "70000"},
+      {"--port", "-1"},
+      {"--port", "12ab"},
+      {"--port", "0", "--workers", "abc"},
+      {"--port", "0", "--workers", "0"},
+      {"--port", "0", "--checkpoint-interval-ms", "0"},
+      {"--port", "0", "--checkpoint-interval-ms", "-5"},
+      {"--port", "0", "--checkpoint-interval-ms", "soon"},
+  };
+  for (const auto& args : bad) {
+    std::string shown;
+    for (const std::string& a : args) shown += a + " ";
+    EXPECT_EQ(RunServerBinary(args), 2) << shown;
+  }
 }
 
 TEST_F(ServerTest, HostPortParsing) {

@@ -1,4 +1,4 @@
-// The fixed-size worker pool backing the query server: submission,
+// The fixed-size worker pool backing morsel parallelism: submission,
 // parallel execution, FIFO draining on Shutdown, and the post-shutdown
 // Submit contract (returns false rather than dropping work silently).
 
